@@ -27,6 +27,9 @@ pub enum SimError {
     /// A stage lost its compute entirely: every slot that could run it sits
     /// on a crashed node.
     NodeLost { stage: String, node: u32 },
+    /// A lockstep run was asked to price clusters with different cost
+    /// models; `config` names the first one that differs.
+    MixedCostModels { config: String },
 }
 
 impl SimError {
@@ -39,6 +42,7 @@ impl SimError {
             SimError::BlockLost { .. } => "block lost",
             SimError::TaskAttemptsExhausted { .. } => "task attempts exhausted",
             SimError::NodeLost { .. } => "node lost",
+            SimError::MixedCostModels { .. } => "mixed cost models",
         }
     }
 }
@@ -67,6 +71,10 @@ impl fmt::Display for SimError {
             SimError::NodeLost { stage, node } => write!(
                 f,
                 "stage {stage:?} lost its compute: no surviving slot (last crash: node {node})"
+            ),
+            SimError::MixedCostModels { config } => write!(
+                f,
+                "cluster {config:?} has a different cost model; one data-plane pass cannot price it"
             ),
         }
     }
@@ -102,6 +110,7 @@ mod tests {
             SimError::BlockLost { file: "f".into(), block: 0 },
             SimError::TaskAttemptsExhausted { stage: "s".into(), task: 3, attempts: 4 },
             SimError::NodeLost { stage: "s".into(), node: 7 },
+            SimError::MixedCostModels { config: "c".into() },
         ]
     }
 
@@ -117,6 +126,7 @@ mod tests {
                 SimError::BlockLost { .. } => "block lost",
                 SimError::TaskAttemptsExhausted { .. } => "task attempts exhausted",
                 SimError::NodeLost { .. } => "node lost",
+                SimError::MixedCostModels { .. } => "mixed cost models",
             };
             assert_eq!(e.kind(), expected);
             assert!(!e.to_string().is_empty());

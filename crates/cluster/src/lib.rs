@@ -25,13 +25,16 @@
 //! * [`faults`] — deterministic seeded fault injection ([`FaultPlan`]:
 //!   node crashes, stragglers, transient disk errors) that the engines
 //!   recover around (task retry, speculation, replica failover, lineage
-//!   recomputation).
+//!   recomputation);
+//! * [`lanes`] — lockstep pricing: one data-plane pass priced on several
+//!   cluster configurations, each with its own trace.
 
 pub mod config;
 pub mod cost;
 pub mod error;
 pub mod faults;
 pub mod hdfs;
+pub mod lanes;
 pub mod metrics;
 pub mod scheduler;
 
@@ -44,6 +47,7 @@ pub use faults::{
     RETRY_BACKOFF_BASE_NS,
 };
 pub use hdfs::SimHdfs;
+pub use lanes::{Lane, Lanes};
 pub use metrics::{RecoveryEvent, RecoveryKind, RunTrace, StageKind, StageTrace};
 
 /// Simulated time in nanoseconds.

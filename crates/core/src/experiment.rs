@@ -102,14 +102,14 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn from_output(out: crate::framework::JoinOutput) -> RunSummary {
+    fn new(trace: RunTrace, pairs: u64) -> RunSummary {
         RunSummary {
-            ia_s: out.trace.phase_seconds(Phase::IndexA),
-            ib_s: out.trace.phase_seconds(Phase::IndexB),
-            dj_s: out.trace.phase_seconds(Phase::DistributedJoin),
-            total_s: out.trace.total_seconds(),
-            pairs: out.pairs.len() as u64,
-            trace: out.trace,
+            ia_s: trace.phase_seconds(Phase::IndexA),
+            ib_s: trace.phase_seconds(Phase::IndexB),
+            dj_s: trace.phase_seconds(Phase::DistributedJoin),
+            total_s: trace.total_seconds(),
+            pairs,
+            trace,
         }
     }
 }
@@ -126,6 +126,21 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    fn new(
+        system: SystemKind,
+        config: &ClusterConfig,
+        workload: &Workload,
+        pairs: u64,
+        trace: Result<RunTrace, SimError>,
+    ) -> CellResult {
+        CellResult {
+            system,
+            cluster: config.name.clone(),
+            workload: workload.name,
+            outcome: trace.map(|t| RunSummary::new(t, pairs)).map_err(|e| e.kind().to_string()),
+        }
+    }
+
     /// Total seconds, or `None` for a failed cell.
     pub fn total_s(&self) -> Option<f64> {
         self.outcome.as_ref().ok().map(|s| s.total_s)
@@ -161,6 +176,7 @@ impl ExperimentGrid {
 
     /// [`ExperimentGrid::run_cell`] under a fault plan: the same cell, with
     /// the plan's crashes/stragglers/disk errors injected into every stage.
+    /// This is the one-configuration case of the grid's lockstep run.
     pub fn run_cell_faulted(
         &self,
         system: SystemKind,
@@ -171,16 +187,12 @@ impl ExperimentGrid {
         faults: &FaultPlan,
     ) -> CellResult {
         let cluster = Cluster::with_faults(config.clone(), faults.clone());
-        let outcome: Result<RunSummary, SimError> = system
-            .instance()
-            .run(&cluster, left, right, JoinPredicate::Intersects)
-            .map(RunSummary::from_output);
-        CellResult {
-            system,
-            cluster: config.name.clone(),
-            workload: workload.name,
-            outcome: outcome.map_err(|e| e.kind().to_string()),
-        }
+        let out = system.instance().run(&cluster, left, right, JoinPredicate::Intersects);
+        let (pairs, trace) = match out {
+            Ok(out) => (out.pairs.len() as u64, Ok(out.trace)),
+            Err(e) => (0, Err(e)),
+        };
+        CellResult::new(system, config, workload, pairs, trace)
     }
 
     /// Table 2: full-dataset workloads on all four hardware configurations.
@@ -224,23 +236,38 @@ impl ExperimentGrid {
         configs: &[ClusterConfig],
         plan_for: &(dyn Fn(&ClusterConfig) -> FaultPlan + Sync),
     ) -> Vec<CellResult> {
+        let clusters: Vec<Cluster> =
+            configs.iter().map(|cfg| Cluster::with_faults(cfg.clone(), plan_for(cfg))).collect();
         let mut out = Vec::new();
-        // The (system, config) grid is the same for every workload — built
-        // once, outside the workload loop.
-        let cells: Vec<(SystemKind, &ClusterConfig)> = SystemKind::all()
-            .into_iter()
-            .flat_map(|sys| configs.iter().map(move |cfg| (sys, cfg)))
-            .collect();
         for w in workloads {
             let (left, right) = w.prepare(self.scale, self.seed);
-            // Cells are pure functions of (system, config, workload, plan):
-            // run them in parallel, collect in deterministic grid order.
-            out.extend(crate::par::par_map(&cells, |(sys, cfg)| {
-                self.run_cell_faulted(*sys, cfg, w, &left, &right, &plan_for(cfg))
-            }));
+            // One lockstep run per system: its data plane executes once and
+            // is priced on every configuration, cells in grid order.
+            for system in SystemKind::all() {
+                out.extend(run_system(system, &clusters, w, &left, &right));
+            }
         }
         out
     }
+}
+
+/// Runs `system` on every cluster in lockstep: one cell per cluster.
+fn run_system(
+    system: SystemKind,
+    clusters: &[Cluster],
+    workload: &Workload,
+    left: &JoinInput,
+    right: &JoinInput,
+) -> Vec<CellResult> {
+    let runs = system.instance().run_configs(clusters, left, right, JoinPredicate::Intersects);
+    let (pairs, traces) = match runs {
+        Ok(runs) => (runs.pairs.len() as u64, runs.traces),
+        Err(e) => (0, clusters.iter().map(|_| Err(e.clone())).collect()),
+    };
+    let cell = |(cluster, trace): (&Cluster, _)| {
+        CellResult::new(system, &cluster.config, workload, pairs, trace)
+    };
+    clusters.iter().zip(traces).map(cell).collect()
 }
 
 #[cfg(test)]

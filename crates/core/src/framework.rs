@@ -1,6 +1,6 @@
 //! The generalized framework: shared vocabulary of all three systems.
 
-use sjc_cluster::{Cluster, RunTrace, SimError};
+use sjc_cluster::{Cluster, Lanes, RunTrace, SimError};
 use sjc_data::ScaledDataset;
 use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
 
@@ -122,6 +122,30 @@ impl JoinOutput {
     }
 }
 
+/// One join priced on several cluster configurations in lockstep.
+#[derive(Debug, Clone)]
+pub struct ConfigRuns {
+    /// Refined result pairs `(left id, right id)`, computed once for every
+    /// configuration (empty when every configuration failed first).
+    pub pairs: Vec<(u64, u64)>,
+    /// Per configuration, in input order: the stage ledger, or the failure
+    /// that ended that configuration's run.
+    pub traces: Vec<Result<RunTrace, SimError>>,
+}
+
+/// Runs a lockstep `pipeline` over one lane per cluster and collects each
+/// lane's outcome. The pipeline returns the pairs, or stops with an error
+/// once every lane has failed (each lane keeps its own error).
+pub(crate) fn lockstep(
+    system: &str,
+    clusters: &[Cluster],
+    pipeline: impl FnOnce(&mut Lanes<'_>) -> Result<Vec<(u64, u64)>, SimError>,
+) -> Result<ConfigRuns, SimError> {
+    let mut lanes = Lanes::new(system, clusters)?;
+    let pairs = pipeline(&mut lanes).unwrap_or_default();
+    Ok(ConfigRuns { pairs, traces: lanes.finish() })
+}
+
 /// A complete distributed spatial join system (the trait the three
 /// reproduced systems implement).
 ///
@@ -155,14 +179,31 @@ pub trait DistributedSpatialJoin {
     fn engine(&self) -> EngineKind;
 
     /// Runs the end-to-end join (preprocessing + global join + local join)
-    /// of `left ⋈ right` under `predicate` on `cluster`.
+    /// of `left ⋈ right` under `predicate` on every cluster of `clusters`
+    /// in lockstep: each stage's data plane executes once, is priced on
+    /// every cluster still running, and clusters the stage fails on drop
+    /// out. Fails only when the clusters do not share one cost model.
+    fn run_configs(
+        &self,
+        clusters: &[Cluster],
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+    ) -> Result<ConfigRuns, SimError>;
+
+    /// The join on one cluster: [`Self::run_configs`] with one configuration.
     fn run(
         &self,
         cluster: &Cluster,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError>;
+    ) -> Result<JoinOutput, SimError> {
+        let runs = self.run_configs(std::slice::from_ref(cluster), left, right, predicate)?;
+        let trace =
+            runs.traces.into_iter().next().unwrap_or_else(|| Ok(RunTrace::new(self.name())))?;
+        Ok(JoinOutput { pairs: runs.pairs, trace })
+    }
 }
 
 #[cfg(test)]

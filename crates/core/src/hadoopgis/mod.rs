@@ -27,17 +27,17 @@
 //! full-dataset run in Table 2 ends for HadoopGIS.
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{
-    Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
-};
+use sjc_cluster::{Cluster, Lanes, SimError, StageKind, StageTrace};
 use sjc_geom::wkt::to_wkt;
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
-use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob};
+use sjc_mapreduce::{block_splits, JobConfig, JobRun};
 
 use crate::common::{default_partition_count, local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{
+    lockstep, ConfigRuns, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
+};
 
 /// The HadoopGIS system.
 #[derive(Debug, Clone)]
@@ -71,12 +71,32 @@ fn tsv_lines(input: &JoinInput) -> Vec<String> {
     input.records.iter().map(|r| format!("{}\t{}", r.id, to_wkt(&r.geom))).collect()
 }
 
-/// An `FsCopy` stage: HDFS <-> local filesystem transfer of `bytes`.
-fn fs_copy(cluster: &Cluster, name: String, phase: Phase, bytes: u64) -> StageTrace {
-    let mut st = StageTrace::new(name, StageKind::FsCopy, phase);
-    st.sim_ns = cluster.cost.io_ns(bytes, cluster.cost.local_copy_bw);
-    st.hdfs_bytes_read = bytes;
-    st
+/// Prices an `FsCopy` stage on every live lane: HDFS <-> local filesystem
+/// transfer of `bytes`.
+fn fs_copy(lanes: &mut Lanes<'_>, name: &str, phase: Phase, bytes: u64) -> Result<(), SimError> {
+    lanes.price(|lane| {
+        let cost = &lane.cluster.cost;
+        let mut st = StageTrace::new(name, StageKind::FsCopy, phase);
+        st.sim_ns = cost.io_ns(bytes, cost.local_copy_bw);
+        st.hdfs_bytes_read = bytes;
+        Ok((st, Vec::new()))
+    })
+}
+
+/// Prices the serial partition generation over `samples` sample points
+/// on every live lane (script-speed sort/split on one machine).
+fn serial_partitioning(
+    lanes: &mut Lanes<'_>,
+    name: &str,
+    phase: Phase,
+    samples: usize,
+) -> Result<(), SimError> {
+    let n = samples.max(2) as f64;
+    lanes.price(|_| {
+        let mut st = StageTrace::new(name, StageKind::LocalSerial, phase);
+        st.sim_ns = (n * n.log2() * 500.0) as u64;
+        Ok((st, Vec::new()))
+    })
 }
 
 /// Default HDFS block size (the streaming jobs split inputs by it).
@@ -85,40 +105,28 @@ fn hdfs_block() -> u64 {
 }
 
 impl HadoopGis {
-    /// Steps 1–6 for one dataset. Returns the sample MBR centers (reused by
-    /// the global join) and the converted TSV lines.
-    #[allow(clippy::type_complexity)]
+    /// Steps 1–6 for one dataset, each priced on every live lane at the
+    /// lane's own clock. Returns the sample MBR centers (reused by the
+    /// global join) and the converted TSV lines.
     fn preprocess(
         &self,
-        cluster: &Cluster,
-        hdfs: &mut SimHdfs,
+        lanes: &mut Lanes<'_>,
         input: &JoinInput,
         phase: Phase,
-        start_ns: SimNs,
-    ) -> Result<(Vec<Point>, Vec<String>, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
-        let mut traces: Vec<StageTrace> = Vec::new();
-        let mut recovery: Vec<RecoveryEvent> = Vec::new();
-        // Each job starts where the previous stage (job, copy, or serial
-        // step) of this run left off on the global simulated clock.
-        let elapsed =
-            |traces: &[StageTrace]| start_ns + traces.iter().map(|t| t.sim_ns).sum::<SimNs>();
+    ) -> Result<(Vec<Point>, Vec<String>), SimError> {
+        let cost = lanes.cost().clone();
         let bpr = input.bytes_per_record();
         let block = hdfs_block();
-        let raw = tsv_lines(input);
-
-        let mut engine = MapReduceJob::new(cluster, hdfs);
-        let mut streaming = StreamingJob::new(&mut engine);
 
         // Step 1: convert to TSV while loading (identity mapper here — the
-        // cost is reading + piping + rewriting every byte).
+        // cost is reading + piping + rewriting every byte). The raw lines
+        // live only as long as the splits built from them.
         let cfg1 =
-            JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
-        let converted =
-            streaming.map_only(&cfg1, block_splits(&raw, bpr, block), |l| vec![l.to_string()])?;
-        recovery.extend(converted.recovery.iter().cloned());
-        traces.push(converted.trace);
-        let tsv = converted.lines;
+            JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier);
+        let raw = block_splits(&tsv_lines(input), bpr, block);
+        let converted = JobRun::streaming_map_only(&cost, raw, |l| vec![l.to_string()]);
+        converted.price_lanes(lanes, &cfg1)?;
+        let tsv = converted.output;
 
         // Step 2: sample MBRs (systematic 1-in-k, k sized for ~10 samples
         // per partition).
@@ -131,19 +139,17 @@ impl HadoopGis {
         let keep: std::collections::BTreeSet<&str> =
             tsv.iter().step_by(stride).map(|s| s.as_str()).collect();
         let cfg2 =
-            JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
-        let sampled = streaming.map_only(&cfg2, block_splits(&tsv, bpr, block), |l| {
+            JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier);
+        let sampled = JobRun::streaming_map_only(&cost, block_splits(&tsv, bpr, block), |l| {
             if keep.contains(l) {
                 vec![l.split('\t').next().unwrap_or("0").to_string()]
             } else {
                 Vec::new()
             }
-        })?;
-        recovery.extend(sampled.recovery.iter().cloned());
-        traces.push(sampled.trace);
+        });
+        sampled.price_lanes(lanes, &cfg2)?;
         let sample_ids: Vec<u64> = sampled
-            .lines
+            .output
             .iter()
             // sjc-lint: allow(no-panic-in-lib) — step 2's mapper emitted these lines from the TSV's numeric id column
             .map(|l| l.parse::<u64>().expect("sample lines carry record ids"))
@@ -154,54 +160,35 @@ impl HadoopGis {
         let sample_lines: Vec<String> = sample_ids.iter().map(|i| i.to_string()).collect();
         let cfg3 =
             JobConfig::new(format!("{}: 3 compute extent", input.name), phase, input.multiplier)
-                .write_output(false)
-                .starting_at(elapsed(&traces));
-        let extent_out = streaming.map_reduce(
+                .write_output(false);
+        JobRun::streaming_map_reduce(
+            &cost,
             &cfg3,
             block_splits(&sample_lines, 72.0, block),
             |l| vec![("extent".to_string(), l.to_string())],
             |_, vs| vec![format!("count={}", vs.len())],
-        )?;
-        recovery.extend(extent_out.recovery.iter().cloned());
-        traces.push(extent_out.trace);
+        )
+        .price_lanes(lanes, &cfg3)?;
 
         // Step 4: normalize sample MBRs (map-only over the samples).
         let cfg4 =
-            JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
-        let normalized =
-            streaming.map_only(&cfg4, block_splits(&sample_lines, 72.0, block), |l| {
-                vec![l.to_string()]
-            })?;
-        recovery.extend(normalized.recovery.iter().cloned());
-        traces.push(normalized.trace);
+            JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier);
+        JobRun::streaming_map_only(&cost, block_splits(&sample_lines, 72.0, block), |l| {
+            vec![l.to_string()]
+        })
+        .price_lanes(lanes, &cfg4)?;
 
         // Step 5: local serial partition generation with HDFS round-trips.
-        traces.push(fs_copy(
-            cluster,
-            format!("{}: 5a copy samples to local", input.name),
-            phase,
-            sample_bytes,
-        ));
+        fs_copy(lanes, &format!("{}: 5a copy samples to local", input.name), phase, sample_bytes)?;
         let centers: Vec<Point> = sample_ids
             .iter()
             // sjc-lint: allow(no-panic-in-lib) — record ids are the enumerate indices minted by JoinInput::from_dataset
             .map(|&i| input.records[i as usize].mbr.center())
             .collect();
-        let mut gen_stage = StageTrace::new(
-            format!("{}: 5b generate partitions (serial)", input.name),
-            StageKind::LocalSerial,
-            phase,
-        );
-        let n = centers.len().max(2) as f64;
-        gen_stage.sim_ns = (n * n.log2() * 500.0) as u64; // serial script-speed sort/split
-        traces.push(gen_stage);
-        traces.push(fs_copy(
-            cluster,
-            format!("{}: 5c copy partitions to HDFS", input.name),
-            phase,
-            self.partitions as u64 * 72,
-        ));
+        let gen_name = format!("{}: 5b generate partitions (serial)", input.name);
+        serial_partitioning(lanes, &gen_name, phase, centers.len())?;
+        let copy_back = format!("{}: 5c copy partitions to HDFS", input.name);
+        fs_copy(lanes, &copy_back, phase, self.partitions as u64 * 72)?;
         let partitioner =
             BspPartitioner::from_sample(input.domain, centers.clone(), self.partitions);
 
@@ -212,10 +199,10 @@ impl HadoopGis {
         // against the task's pipe+parse bill, so it rides inside the
         // calibrated per-byte constants.)
         let cfg6 =
-            JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
+            JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier);
         let records = &input.records;
-        let assigned = streaming.map_reduce(
+        JobRun::streaming_map_reduce(
+            &cost,
             &cfg6,
             block_splits(&tsv, bpr, block),
             |l| {
@@ -235,100 +222,71 @@ impl HadoopGis {
                 sorted.dedup();
                 sorted.iter().map(|l| l.to_string()).collect()
             },
-        )?;
-        recovery.extend(assigned.recovery.iter().cloned());
-        traces.push(assigned.trace);
+        )
+        .price_lanes(lanes, &cfg6)?;
 
-        Ok((centers, tsv, traces, recovery))
-    }
-}
-
-impl DistributedSpatialJoin for HadoopGis {
-    fn name(&self) -> &'static str {
-        "HadoopGIS"
+        Ok((centers, tsv))
     }
 
-    fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn run(
+    fn lockstep(
         &self,
-        cluster: &Cluster,
+        lanes: &mut Lanes<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        let mut hdfs = SimHdfs::new(cluster.config.nodes);
-        let mut trace = RunTrace::new(self.name());
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let geos = GeometryEngine::new(self.engine());
 
         // Preprocessing: the six steps, per dataset.
-        let (centers_a, tsv_a, t, r) =
-            self.preprocess(cluster, &mut hdfs, left, Phase::IndexA, trace.total_ns())?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
-        let (centers_b, tsv_b, t, r) =
-            self.preprocess(cluster, &mut hdfs, right, Phase::IndexB, trace.total_ns())?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        let (centers_a, tsv_a) = self.preprocess(lanes, left, Phase::IndexA)?;
+        let (centers_b, tsv_b) = self.preprocess(lanes, right, Phase::IndexB)?;
 
         // Global join: concatenate the samples locally and build *new*
         // partitions (the step-6 partition ids are discarded — wasteful, as
         // the paper notes, but Streaming leaves no alternative).
+        let phase = Phase::DistributedJoin;
         let sample_bytes = (centers_a.len() + centers_b.len()) as u64 * 72;
-        trace.push(fs_copy(
-            cluster,
-            "GJ: copy both samples to local".into(),
-            Phase::DistributedJoin,
-            sample_bytes,
-        ));
+        fs_copy(lanes, "GJ: copy both samples to local", phase, sample_bytes)?;
         let mut combined = centers_a;
         combined.extend(centers_b);
-        let mut gen = StageTrace::new(
+        serial_partitioning(
+            lanes,
             "GJ: build combined partitions (serial)",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        let n = combined.len().max(2) as f64;
-        gen.sim_ns = (n * n.log2() * 500.0) as u64;
-        trace.push(gen);
-        trace.push(fs_copy(
-            cluster,
-            "GJ: copy partitions to HDFS".into(),
-            Phase::DistributedJoin,
-            self.partitions as u64 * 72,
-        ));
+            phase,
+            combined.len(),
+        )?;
+        fs_copy(lanes, "GJ: copy partitions to HDFS", phase, self.partitions as u64 * 72)?;
         let domain = left.domain.union(&right.domain);
         let partitioner = BspPartitioner::from_sample(domain, combined, self.partitions);
 
         // The distributed join MR job: both datasets are re-read, re-parsed,
         // re-assigned and shuffled; reducers run the local join with GEOS.
-        let mut tagged: Vec<String> = Vec::with_capacity(tsv_a.len() + tsv_b.len());
-        tagged.extend(tsv_a.iter().map(|l| format!("A\t{l}")));
-        tagged.extend(tsv_b.iter().map(|l| format!("B\t{l}")));
+        // The tagged lines live only as long as the splits built from them.
         let bpr = (left.bytes_per_record() * tsv_a.len() as f64
             + right.bytes_per_record() * tsv_b.len() as f64)
-            / tagged.len().max(1) as f64;
+            / (tsv_a.len() + tsv_b.len()).max(1) as f64;
+        let mut tagged: Vec<String> = Vec::with_capacity(tsv_a.len() + tsv_b.len());
+        tagged.extend(tsv_a.into_iter().map(|l| format!("A\t{l}")));
+        tagged.extend(tsv_b.into_iter().map(|l| format!("B\t{l}")));
+        let splits = block_splits(&tagged, bpr, hdfs_block());
+        drop(tagged);
 
         let mult = left.multiplier.max(right.multiplier);
-        let mut engine = MapReduceJob::new(cluster, &mut hdfs);
-        let mut streaming = StreamingJob::new(&mut engine);
         // The join reducer is the Python-driven geometry script — the
         // per-record interpreter cost behind the paper's 14x / 5.7x DJ gap.
         // ~40% of the per-record cost is Python string handling, ~60% the
         // geometry-library call, so the script cost scales with the engine's
         // refinement factor (GEOS = 4x is the calibrated baseline).
         let script_factor = 0.4 + 0.6 * (geos.kind().refinement_factor() / 4.0);
-        let cfg = JobConfig::new("distributed join (streaming MR)", Phase::DistributedJoin, mult)
+        let cfg = JobConfig::new("distributed join (streaming MR)", phase, mult)
             .map_scale(ScaleMode::MoreTasks)
             .script_reducer(true)
-            .script_cost_factor(script_factor)
-            .starting_at(trace.total_ns());
+            .script_cost_factor(script_factor);
         let local_algo = self.local_algo;
-        let outcome = streaming.map_reduce(
+        let run = JobRun::streaming_map_reduce(
+            lanes.cost(),
             &cfg,
-            block_splits(&tagged, bpr, hdfs_block()),
+            splits,
             |l| {
                 let mut it = l.splitn(3, '\t');
                 let tag = it.next().unwrap_or("A");
@@ -373,12 +331,11 @@ impl DistributedSpatialJoin for HadoopGis {
                     });
                 pairs.into_iter().map(|(a, b)| format!("{a}\t{b}")).collect()
             },
-        )?;
-        trace.push_recovery(outcome.recovery.iter().cloned());
-        trace.push(outcome.trace);
+        );
+        run.price_lanes(lanes, &cfg)?;
 
-        let pairs = outcome
-            .lines
+        Ok(run
+            .output
             .iter()
             .map(|l| {
                 let mut it = l.split('\t');
@@ -388,8 +345,27 @@ impl DistributedSpatialJoin for HadoopGis {
                 let b = it.next().unwrap_or("0").parse::<u64>().expect("right id");
                 (a, b)
             })
-            .collect();
-        Ok(JoinOutput { pairs, trace })
+            .collect())
+    }
+}
+
+impl DistributedSpatialJoin for HadoopGis {
+    fn name(&self) -> &'static str {
+        "HadoopGIS"
+    }
+
+    fn engine(&self) -> EngineKind {
+        self.engine
+    }
+
+    fn run_configs(
+        &self,
+        clusters: &[Cluster],
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+    ) -> Result<ConfigRuns, SimError> {
+        lockstep(self.name(), clusters, |lanes| self.lockstep(lanes, left, right, predicate))
     }
 }
 

@@ -24,14 +24,16 @@
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::scheduler::lpt_makespan;
-use sjc_cluster::{Cluster, RunTrace, SimError, StageKind, StageTrace};
+use sjc_cluster::{Cluster, Lanes, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{SpatialPartitioner, StrTilePartitioner};
 use sjc_index::RTree;
 
 use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{
+    lockstep, ConfigRuns, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
+};
 
 /// The LDE-MC+ style system.
 #[derive(Debug, Clone)]
@@ -61,19 +63,27 @@ impl DistributedSpatialJoin for LdeEngine {
         EngineKind::Jts
     }
 
-    fn run(
+    fn run_configs(
         &self,
-        cluster: &Cluster,
+        clusters: &[Cluster],
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        let cost = &cluster.cost;
-        let node = &cluster.config.node;
-        let slots = cluster.total_slots();
+    ) -> Result<ConfigRuns, SimError> {
+        lockstep(self.name(), clusters, |lanes| self.lockstep(lanes, left, right, predicate))
+    }
+}
+
+impl LdeEngine {
+    fn lockstep(
+        &self,
+        lanes: &mut Lanes<'_>,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
         let mult = left.multiplier.max(right.multiplier);
-        let mut trace = RunTrace::new(self.name());
 
         // --- Stage 1: read + partition, fully in memory ---
         // Workers scan their input shards once; the coordinator derives
@@ -91,16 +101,17 @@ impl DistributedSpatialJoin for LdeEngine {
                 .map(|(i, c)| IndexEntry::new(i as u64, *c))
                 .collect(),
         );
-
-        let mut read_stage = StageTrace::new(
-            "scan inputs + derive partitions",
-            StageKind::LocalSerial,
-            Phase::IndexB,
-        );
-        {
+        let total_bytes = left.sim_bytes + right.sim_bytes;
+        let total_records = (left.records.len() + right.records.len()) as u64;
+        lanes.price(|lane| {
+            let (cost, node) = (&lane.cluster.cost, &lane.cluster.config.node);
+            let slots = lane.cluster.total_slots();
+            let mut read_stage = StageTrace::new(
+                "scan inputs + derive partitions",
+                StageKind::LocalSerial,
+                Phase::IndexB,
+            );
             // Parallel scan of both inputs at native per-record cost.
-            let total_bytes = left.sim_bytes + right.sim_bytes;
-            let total_records = (left.records.len() + right.records.len()) as u64;
             let io = cost
                 .io_ns((total_bytes as f64 * mult) as u64 / slots as u64, node.slot_disk_read_bw());
             let cpu = (cost.parse_ns((total_bytes as f64 * mult) as u64 / slots as u64) as f64
@@ -109,8 +120,8 @@ impl DistributedSpatialJoin for LdeEngine {
             read_stage.sim_ns = io + cpu as u64;
             read_stage.hdfs_bytes_read = (total_bytes as f64 * mult) as u64;
             read_stage.tasks = slots as u64;
-        }
-        trace.push(read_stage);
+            Ok((read_stage, Vec::new()))
+        })?;
 
         // --- Stage 2: assign records to cells (native probe, in memory) ---
         let mut assign_l: Vec<Vec<u64>> = vec![Vec::new(); ncells];
@@ -132,35 +143,30 @@ impl DistributedSpatialJoin for LdeEngine {
                 }
             }
         }
-        let mut assign_stage = StageTrace::new(
-            "assign partition ids (in memory)",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        {
-            let records = (left.records.len() + right.records.len()) as f64 * mult;
+        lanes.price(|lane| {
+            let (cost, node) = (&lane.cluster.cost, &lane.cluster.config.node);
+            let slots = lane.cluster.total_slots();
+            let mut assign_stage = StageTrace::new(
+                "assign partition ids (in memory)",
+                StageKind::LocalSerial,
+                Phase::DistributedJoin,
+            );
+            let records = total_records as f64 * mult;
             let cpu = (records * cost.record_overhead_lde_ns
                 + probe_visits as f64 * mult * jts.filter_cost_ns() as f64)
                 * node.cpu_scale
                 / slots as f64;
             assign_stage.sim_ns = cpu as u64;
             assign_stage.tasks = slots as u64;
-        }
-        trace.push(assign_stage);
+            Ok((assign_stage, Vec::new()))
+        })?;
 
         // --- Stage 3: dispatch partition-pair tasks over RPC + local join ---
         // Each task streams its two partitions across the network once
         // (bounded memory!), filters, and SIMD-refines the candidates.
-        let remote_fraction = if cluster.config.nodes > 1 {
-            (cluster.config.nodes - 1) as f64 / cluster.config.nodes as f64
-        } else {
-            0.0
-        };
         let mut pairs = Vec::new();
-        let mut task_ns: Vec<u64> = Vec::with_capacity(ncells);
-        let mut net_bytes = 0u64;
-        let bpr_l = left.bytes_per_record();
-        let bpr_r = right.bytes_per_record();
+        // Per non-empty cell: (left records, right records, filter+refine ns).
+        let mut tasks: Vec<(usize, usize, u64)> = Vec::with_capacity(ncells);
         // Per-cell record views are gathered into two reused buffers: the
         // cell loop clears and refills them instead of allocating fresh
         // Vecs ncells times.
@@ -184,29 +190,46 @@ impl DistributedSpatialJoin for LdeEngine {
                     }
                 });
             pairs.extend(cell_pairs);
-
-            let part_bytes =
-                ((lrecs.len() as f64 * bpr_l + rrecs.len() as f64 * bpr_r) * mult) as u64;
-            net_bytes += (part_bytes as f64 * remote_fraction) as u64;
-            let records = (lrecs.len() + rrecs.len()) as f64 * mult;
-            // Columnar refinement: geometry cost divided by SIMD width.
-            let cpu = (records * cost.record_overhead_lde_ns
-                + ((jc.filter_ns + jc.refine_ns) as f64 * mult) / cost.lde_simd_lanes)
-                * node.cpu_scale;
-            let io = cost.io_ns((part_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
-            task_ns.push(cpu as u64 + io);
+            tasks.push((lrecs.len(), rrecs.len(), jc.filter_ns + jc.refine_ns));
         }
-        let mut join_stage = StageTrace::new(
-            "RPC dispatch + SIMD local join",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        join_stage.sim_ns = 100_000_000 /* one RPC round */ + lpt_makespan(&task_ns, slots);
-        join_stage.shuffle_bytes = net_bytes;
-        join_stage.tasks = task_ns.len() as u64;
-        trace.push(join_stage);
-
-        Ok(JoinOutput { pairs, trace })
+        let bpr_l = left.bytes_per_record();
+        let bpr_r = right.bytes_per_record();
+        lanes.price(|lane| {
+            let cluster = lane.cluster;
+            let (cost, node) = (&cluster.cost, &cluster.config.node);
+            let remote_fraction = if cluster.config.nodes > 1 {
+                (cluster.config.nodes - 1) as f64 / cluster.config.nodes as f64
+            } else {
+                0.0
+            };
+            let mut net_bytes = 0u64;
+            let task_ns: Vec<u64> = tasks
+                .iter()
+                .map(|&(nl, nr, join_ns)| {
+                    let part_bytes = ((nl as f64 * bpr_l + nr as f64 * bpr_r) * mult) as u64;
+                    net_bytes += (part_bytes as f64 * remote_fraction) as u64;
+                    let records = (nl + nr) as f64 * mult;
+                    // Columnar refinement: geometry cost divided by SIMD width.
+                    let cpu = (records * cost.record_overhead_lde_ns
+                        + (join_ns as f64 * mult) / cost.lde_simd_lanes)
+                        * node.cpu_scale;
+                    let io = cost
+                        .io_ns((part_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
+                    cpu as u64 + io
+                })
+                .collect();
+            let mut join_stage = StageTrace::new(
+                "RPC dispatch + SIMD local join",
+                StageKind::LocalSerial,
+                Phase::DistributedJoin,
+            );
+            join_stage.sim_ns =
+                100_000_000 /* one RPC round */ + lpt_makespan(&task_ns, cluster.total_slots());
+            join_stage.shuffle_bytes = net_bytes;
+            join_stage.tasks = task_ns.len() as u64;
+            Ok((join_stage, Vec::new()))
+        })?;
+        Ok(pairs)
     }
 }
 

@@ -39,4 +39,6 @@ pub mod spatialhadoop;
 pub mod spatialspark;
 
 pub use experiment::{ExperimentGrid, SystemKind, Workload};
-pub use framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+pub use framework::{
+    ConfigRuns, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+};

@@ -22,20 +22,19 @@
 //!    reducers — the design the paper credits for SpatialHadoop's
 //!    robustness.
 
+use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{
-    Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
-};
+use sjc_cluster::{Cluster, Lanes, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::plane_sweep;
 use sjc_index::partition::SpatialPartitioner;
 use sjc_index::RTree;
 use sjc_mapreduce::job::ScaleMode;
-use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, MapTask};
+use sjc_mapreduce::{block_splits, JobConfig, JobRun, MapTask};
 
 use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
-use crate::framework::{DistributedSpatialJoin, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{lockstep, ConfigRuns, DistributedSpatialJoin, JoinInput, JoinPredicate};
 
 /// The SpatialHadoop system.
 #[derive(Debug, Clone)]
@@ -100,25 +99,21 @@ struct Indexed {
 }
 
 impl SpatialHadoop {
-    /// The two preprocessing MR jobs for one dataset.
-    // One argument per knob the two call sites actually vary; a params
-    // struct would just re-spell this signature with extra ceremony.
-    #[allow(clippy::too_many_arguments)]
+    /// The two preprocessing MR jobs for one dataset, each priced on every
+    /// live lane at the lane's own clock (so scheduled node crashes land in
+    /// whatever stage is executing at that simulated instant).
     fn index_dataset(
         &self,
-        cluster: &Cluster,
-        hdfs: &mut SimHdfs,
+        lanes: &mut Lanes<'_>,
         input: &JoinInput,
         phase: Phase,
         widen: Option<JoinPredicate>,
         shared_cells: Option<Vec<sjc_geom::Mbr>>,
-        start_ns: SimNs,
-    ) -> Result<(Indexed, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
-        let mut traces = Vec::new();
-        let mut recovery = Vec::new();
-        let mut engine = MapReduceJob::new(cluster, hdfs);
+    ) -> Result<Indexed, SimError> {
+        let cost = lanes.cost().clone();
         let bpr = input.bytes_per_record();
-        let block = engine.hdfs.block_size();
+        let block = DEFAULT_BLOCK_SIZE;
+        let ids: Vec<u64> = (0..input.records.len() as u64).collect();
 
         let partitioner: Box<dyn SpatialPartitioner + Send + Sync> = match shared_cells {
             // Compatible-grid mode: adopt the other dataset's cells and skip
@@ -127,21 +122,16 @@ impl SpatialHadoop {
             None => {
                 // --- MR job 1: sample + derive partitions on the master ---
                 let stride = (1.0 / self.sample_rate).round().max(1.0) as u64;
-                let ids: Vec<u64> = (0..input.records.len() as u64).collect();
                 let cfg1 =
                     JobConfig::new(format!("{}: sample", input.name), phase, input.multiplier)
-                        .write_output(false)
-                        .starting_at(start_ns);
-                let sample_out =
-                    engine.map_only(&cfg1, block_splits(&ids, bpr, block), |&i, em| {
-                        if i % stride == 0 {
-                            em.emit(i, 16);
-                        }
-                    })?;
-                recovery.extend(sample_out.recovery.iter().cloned());
-                traces.push(sample_out.trace);
-
-                let sample_points: Vec<Point> = sample_out
+                        .write_output(false);
+                let sample = JobRun::map_only(block_splits(&ids, bpr, block), |&i, em| {
+                    if i % stride == 0 {
+                        em.emit(i, 16);
+                    }
+                });
+                sample.price_lanes(lanes, &cfg1)?;
+                let sample_points: Vec<Point> = sample
                     .output
                     .iter()
                     // sjc-lint: allow(no-panic-in-lib) — sample ids are drawn from 0..records.len() above
@@ -150,14 +140,12 @@ impl SpatialHadoop {
                 self.partitioner.build(input.domain, sample_points, self.partitions)
             }
         };
-        let ids: Vec<u64> = (0..input.records.len() as u64).collect();
         // `_master` file: one MBR row per cell.
-        let master_bytes = partitioner.cells().len() as u64 * 72;
-        engine.hdfs.write_file(
-            &format!("{}_master", input.name),
-            master_bytes,
-            partitioner.cells().len() as u64,
-        );
+        let ncells = partitioner.cells().len();
+        let master = format!("{}_master", input.name);
+        for lane in lanes.live_mut() {
+            lane.hdfs.write_file(&master, ncells as u64 * 72, ncells as u64);
+        }
 
         // --- MR job 2: assign partitions, shuffle, write indexed blocks ---
         let cell_rtree = RTree::bulk_load_str(
@@ -169,12 +157,9 @@ impl SpatialHadoop {
                 .collect(),
         );
         let jts = GeometryEngine::new(self.engine());
-        let elapsed: SimNs = traces.iter().map(|t| t.sim_ns).sum();
         let cfg2 =
-            JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier)
-                .starting_at(start_ns + elapsed);
-        let outcome = engine.map_reduce(
-            &cfg2,
+            JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier);
+        let run = JobRun::map_reduce(
             block_splits(&ids, bpr, block),
             |&i, em| {
                 // sjc-lint: allow(no-panic-in-lib) — split ids are drawn from 0..records.len() above
@@ -196,89 +181,45 @@ impl SpatialHadoop {
             |cell, ids, em| {
                 // Build the intra-block index (an STR sort) and write the
                 // block: the write dominates, as the paper notes.
-                em.charge(cluster.cost.sort_ns(ids.len() as u64));
+                em.charge(cost.sort_ns(ids.len() as u64));
                 em.emit((*cell, ids.to_vec()), (ids.len() as f64 * bpr) as u64);
             },
-        )?;
-        recovery.extend(outcome.recovery.iter().cloned());
-        traces.push(outcome.trace);
+        );
+        run.price_lanes(lanes, &cfg2)?;
 
-        let mut cells: Vec<Vec<u64>> = vec![Vec::new(); partitioner.cells().len()];
-        let mut cell_bytes: Vec<u64> = vec![0; partitioner.cells().len()];
-        for (cell, ids) in outcome.output {
+        let mut cells: Vec<Vec<u64>> = vec![Vec::new(); ncells];
+        let mut cell_bytes: Vec<u64> = vec![0; ncells];
+        for (cell, ids) in run.output {
             // sjc-lint: allow(no-panic-in-lib) — reducer keys are cell ids < partitioner.cells().len()
             cell_bytes[cell as usize] = (ids.len() as f64 * bpr) as u64;
             // sjc-lint: allow(no-panic-in-lib) — reducer keys are cell ids < partitioner.cells().len()
             cells[cell as usize] = ids;
         }
-        Ok((Indexed { partitioner, cells, cell_bytes }, traces, recovery))
-    }
-}
-
-impl DistributedSpatialJoin for SpatialHadoop {
-    fn name(&self) -> &'static str {
-        "SpatialHadoop"
+        Ok(Indexed { partitioner, cells, cell_bytes })
     }
 
-    fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn run(
+    fn lockstep(
         &self,
-        cluster: &Cluster,
+        lanes: &mut Lanes<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        let mut hdfs = SimHdfs::new(cluster.config.nodes);
-        let mut trace = RunTrace::new(self.name());
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
 
-        // Preprocessing: index both datasets (IA, IB). Each job starts on
-        // the run's global clock so scheduled node crashes land in whatever
-        // stage is executing at that simulated instant.
-        let (ia, t, r) = self.index_dataset(
-            cluster,
-            &mut hdfs,
-            left,
-            Phase::IndexA,
-            Some(predicate),
-            None,
-            trace.total_ns(),
-        )?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        // Preprocessing: index both datasets (IA, IB).
+        let ia = self.index_dataset(lanes, left, Phase::IndexA, Some(predicate), None)?;
         let shared =
             if self.reuse_partitions { Some(ia.partitioner.cells().to_vec()) } else { None };
-        let (ib, t, r) = self.index_dataset(
-            cluster,
-            &mut hdfs,
-            right,
-            Phase::IndexB,
-            None,
-            shared,
-            trace.total_ns(),
-        )?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        let ib = self.index_dataset(lanes, right, Phase::IndexB, None, shared)?;
 
         // Global join on the master: serial plane-sweep over the two
         // `_master` cell-MBR lists (the getSplits override).
-        let a_entries: Vec<IndexEntry> = ia
-            .partitioner
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| IndexEntry::new(i as u64, *c))
-            .collect();
-        let b_entries: Vec<IndexEntry> = ib
-            .partitioner
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| IndexEntry::new(i as u64, *c))
-            .collect();
+        let entries = |ix: &Indexed| -> Vec<IndexEntry> {
+            let cells = ix.partitioner.cells().iter();
+            cells.enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c)).collect()
+        };
+        let (a_entries, b_entries) = (entries(&ia), entries(&ib));
         let cand = if self.reuse_partitions {
             // Compatible grids: cell i pairs with cell i — no serial sweep.
             sjc_index::join::CandidatePairs {
@@ -292,21 +233,22 @@ impl DistributedSpatialJoin for SpatialHadoop {
             // the simulated clock. The lists are tiny (one entry per cell).
             plane_sweep(&a_entries, &b_entries)
         };
-        let mut gstage = StageTrace::new(
-            "getSplits: pair partitions",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        gstage.sim_ns = cand.stats.filter_tests * jts.filter_cost_ns()
-            + cluster.cost.io_ns(
-                (a_entries.len() + b_entries.len()) as u64 * 72,
-                cluster.config.node.disk_read_bw,
+        let master_bytes = (a_entries.len() + b_entries.len()) as u64 * 72;
+        lanes.price(|lane| {
+            let cluster = lane.cluster;
+            let mut gstage = StageTrace::new(
+                "getSplits: pair partitions",
+                StageKind::LocalSerial,
+                Phase::DistributedJoin,
             );
-        gstage.hdfs_bytes_read = (a_entries.len() + b_entries.len()) as u64 * 72;
-        trace.push(gstage);
+            gstage.sim_ns = cand.stats.filter_tests * jts.filter_cost_ns()
+                + cluster.cost.io_ns(master_bytes, cluster.config.node.disk_read_bw);
+            gstage.hdfs_bytes_read = master_bytes;
+            Ok((gstage, Vec::new()))
+        })?;
 
         // Local join: map-only job, one task per intersecting cell pair.
-        let mut engine = MapReduceJob::new(cluster, &mut hdfs);
+        let cost = lanes.cost().clone();
         let tasks: Vec<MapTask<(u64, u64)>> = cand
             .pairs
             .iter()
@@ -321,9 +263,8 @@ impl DistributedSpatialJoin for SpatialHadoop {
         let mult = left.multiplier.max(right.multiplier);
         let cfg = JobConfig::new("distributed join (map-only)", Phase::DistributedJoin, mult)
             .map_scale(ScaleMode::BiggerTasks)
-            .parse_input(false) // indexed binary blocks, no text parse
-            .starting_at(trace.total_ns());
-        let outcome = engine.map_only(&cfg, tasks, |&(ca, cb), em| {
+            .parse_input(false); // indexed binary blocks, no text parse
+        let run = JobRun::map_only(tasks, |&(ca, cb), em| {
             // sjc-lint: allow(no-panic-in-lib) — ca is a cell id of index A; stored ids are enumerate indices
             let lrecs: Vec<&crate::framework::GeoRecord> = ia.cells[ca as usize]
                 .iter()
@@ -336,7 +277,7 @@ impl DistributedSpatialJoin for SpatialHadoop {
                 // sjc-lint: allow(no-panic-in-lib) — record ids are the enumerate indices minted by JoinInput::from_dataset
                 .map(|&i| &right.records[i as usize])
                 .collect();
-            let (pairs, cost) =
+            let (pairs, join_cost) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
                     match predicate.filter_mbr(am).reference_point(bm) {
                         Some(rp) => {
@@ -348,16 +289,34 @@ impl DistributedSpatialJoin for SpatialHadoop {
                 });
             // Deserializing the two block files' records into JVM objects is
             // the task's real per-record cost; the geometry work rides on top.
-            em.charge(cluster.cost.hadoop_records_ns((lrecs.len() + rrecs.len()) as u64));
-            em.charge(cost.filter_ns + cost.refine_ns);
+            em.charge(cost.hadoop_records_ns((lrecs.len() + rrecs.len()) as u64));
+            em.charge(join_cost.filter_ns + join_cost.refine_ns);
             for p in pairs {
                 em.emit(p, 24);
             }
-        })?;
-        trace.stages.extend(std::iter::once(outcome.trace));
-        trace.push_recovery(outcome.recovery);
+        });
+        run.price_lanes(lanes, &cfg)?;
+        Ok(run.output)
+    }
+}
 
-        Ok(JoinOutput { pairs: outcome.output, trace })
+impl DistributedSpatialJoin for SpatialHadoop {
+    fn name(&self) -> &'static str {
+        "SpatialHadoop"
+    }
+
+    fn engine(&self) -> EngineKind {
+        self.engine
+    }
+
+    fn run_configs(
+        &self,
+        clusters: &[Cluster],
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+    ) -> Result<ConfigRuns, SimError> {
+        lockstep(self.name(), clusters, |lanes| self.lockstep(lanes, left, right, predicate))
     }
 }
 

@@ -29,7 +29,7 @@
 //! selects it; the `ablation_broadcast_join` bench compares the two.
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, CostModel, SimError};
+use sjc_cluster::{Cluster, CostModel, Lanes, SimError};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{SpatialPartitioner, StrTilePartitioner};
@@ -37,7 +37,7 @@ use sjc_index::RTree;
 use sjc_rdd::{memory, SparkContext, SparkRecord};
 
 use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{ConfigRuns, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 
 /// The SpatialSpark system.
 #[derive(Debug, Clone)]
@@ -93,13 +93,12 @@ fn rec_refs(input: &JoinInput) -> Vec<RecRef> {
 impl SpatialSpark {
     fn run_partition_based(
         &self,
-        cluster: &Cluster,
+        ctx: &mut SparkContext<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
-        let mut ctx = SparkContext::new(cluster);
 
         // 1. Load both datasets (lazy read, charged at first materialization).
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
@@ -110,7 +109,7 @@ impl SpatialSpark {
         // rates per dataset; this is the same knob, self-adjusted).
         let rate = ((10 * self.partitions) as f64 / right.records.len().max(1) as f64).min(1.0);
         let sample = rdd_r.sample_collect(
-            &mut ctx,
+            ctx,
             "sample right side (in-memory)",
             Phase::IndexB,
             rate,
@@ -151,7 +150,7 @@ impl SpatialSpark {
                 hits.into_iter().map(|c| c as u32).collect()
             }
         };
-        let tagged_l = rdd_l.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+        let tagged_l = rdd_l.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
             // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
             let mbr = predicate.filter_mbr(&left.records[r.idx as usize].mbr);
             probe(&cell_tree, &partitioner, &mbr, extra)
@@ -159,7 +158,7 @@ impl SpatialSpark {
                 .map(|c| (c, *r))
                 .collect::<Vec<_>>()
         });
-        let tagged_r = rdd_r.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+        let tagged_r = rdd_r.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
             // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
             let mbr = right.records[r.idx as usize].mbr;
             probe(&cell_tree, &partitioner, &mbr, extra)
@@ -170,12 +169,12 @@ impl SpatialSpark {
 
         // 4. Group both sides by partition id, then join the grouped lists.
         let grouped_l =
-            tagged_l.group_by_key(&mut ctx, "groupByKey left", Phase::DistributedJoin, ncells)?;
+            tagged_l.group_by_key(ctx, "groupByKey left", Phase::DistributedJoin, ncells)?;
         let grouped_r =
-            tagged_r.group_by_key(&mut ctx, "groupByKey right", Phase::DistributedJoin, ncells)?;
+            tagged_r.group_by_key(ctx, "groupByKey right", Phase::DistributedJoin, ncells)?;
         let joined = grouped_l.join(
             grouped_r,
-            &mut ctx,
+            ctx,
             "join on partition id",
             Phase::DistributedJoin,
             ncells,
@@ -183,7 +182,7 @@ impl SpatialSpark {
 
         // 5. Local join per partition (indexed nested loop + JTS refine).
         let local_algo = self.local_algo;
-        let result = joined.flat_map(&ctx, |(cell, (lrefs, rrefs)), extra| {
+        let result = joined.flat_map(ctx, |(cell, (lrefs, rrefs)), extra| {
             // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
             let lrecs: Vec<&GeoRecord> =
                 lrefs.iter().map(|r| &left.records[r.idx as usize]).collect();
@@ -202,21 +201,17 @@ impl SpatialSpark {
         });
 
         // 6. Collect to the driver.
-        let pairs = result.collect(&mut ctx, "collect results", Phase::DistributedJoin)?;
-        let mut trace = ctx.trace;
-        trace.system = self.name().to_string();
-        Ok(JoinOutput { pairs, trace })
+        result.collect(ctx, "collect results", Phase::DistributedJoin)
     }
 
     fn run_broadcast_based(
         &self,
-        cluster: &Cluster,
+        ctx: &mut SparkContext<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
-        let mut ctx = SparkContext::new(cluster);
 
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
 
@@ -225,18 +220,21 @@ impl SpatialSpark {
         let entries: Vec<IndexEntry> =
             right.records.iter().map(|r| IndexEntry::new(r.id, r.mbr)).collect();
         let tree = RTree::bulk_load_str(entries);
+        let cost = ctx.cost();
         let right_mem: u64 = (right
             .records
             .iter()
-            .map(|r| cluster.cost.spark_footprint_bytes(1, r.geom.num_vertices() as u64))
+            .map(|r| cost.spark_footprint_bytes(1, r.geom.num_vertices() as u64))
             .sum::<u64>() as f64
             * right.multiplier) as u64;
-        let per_node: Vec<u64> = (0..cluster.config.nodes).map(|_| right_mem).collect();
-        memory::check_fits(cluster, "broadcast full right index", &[&per_node])?;
+        ctx.gate(|lane| {
+            let per_node: Vec<u64> = (0..lane.cluster.config.nodes).map(|_| right_mem).collect();
+            memory::check_fits(lane.cluster, "broadcast full right index", &[&per_node])
+        })?;
         ctx.broadcast("broadcast full right index", Phase::IndexB, (), right_mem);
 
         // Probe directly: no partitioning, no shuffle, no duplicates.
-        let result = rdd_l.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+        let result = rdd_l.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
             // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
             let lrec = &left.records[r.idx as usize];
             let mut hits = Vec::new();
@@ -254,10 +252,7 @@ impl SpatialSpark {
             }
             out
         });
-        let pairs = result.collect(&mut ctx, "collect results", Phase::DistributedJoin)?;
-        let mut trace = ctx.trace;
-        trace.system = "SpatialSpark (broadcast)".to_string();
-        Ok(JoinOutput { pairs, trace })
+        result.collect(ctx, "collect results", Phase::DistributedJoin)
     }
 }
 
@@ -270,18 +265,21 @@ impl DistributedSpatialJoin for SpatialSpark {
         self.engine
     }
 
-    fn run(
+    fn run_configs(
         &self,
-        cluster: &Cluster,
+        clusters: &[Cluster],
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        if self.broadcast_join {
-            self.run_broadcast_based(cluster, left, right, predicate)
+    ) -> Result<ConfigRuns, SimError> {
+        let system = if self.broadcast_join { "SpatialSpark (broadcast)" } else { self.name() };
+        let mut ctx = SparkContext::lockstep(Lanes::new(system, clusters)?);
+        let pairs = if self.broadcast_join {
+            self.run_broadcast_based(&mut ctx, left, right, predicate)
         } else {
-            self.run_partition_based(cluster, left, right, predicate)
-        }
+            self.run_partition_based(&mut ctx, left, right, predicate)
+        };
+        Ok(ConfigRuns { pairs: pairs.unwrap_or_default(), traces: ctx.finish() })
     }
 }
 

@@ -81,6 +81,14 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_coordinates_surface_as_bad_wkt() {
+        assert_eq!(
+            parse_tsv_line("1\tPOINT (1e999 0)"),
+            Err(TsvError::BadWkt(WktError::NonFinite("1e999".into())))
+        );
+    }
+
+    #[test]
     fn byte_accounting_includes_newlines() {
         let lines = vec!["ab".to_string(), "c".to_string()];
         assert_eq!(lines_bytes(&lines), 2 + 1 + 1 + 1);

@@ -85,6 +85,16 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_coordinates_are_rejected() {
+        assert_eq!(parse_wkt("POINT (1e999 0)"), Err(WktError::NonFinite("1e999".into())));
+        assert_eq!(
+            parse_wkt("LINESTRING (0 0, 1 -2e308)"),
+            Err(WktError::NonFinite("-2e308".into()))
+        );
+        assert!(parse_wkt("POINT (1.7e308 0)").is_ok(), "the largest finite literals still parse");
+    }
+
+    #[test]
     fn empty_geometries_rejected() {
         assert!(parse_wkt("POINT EMPTY").is_err());
         assert!(parse_wkt("POLYGON EMPTY").is_err());

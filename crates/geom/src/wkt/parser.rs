@@ -13,6 +13,9 @@ pub enum WktError {
     UnknownTag(String),
     /// A coordinate failed to parse as `f64`.
     BadNumber(String),
+    /// A coordinate literal overflows `f64` (e.g. `1e999`): an infinite
+    /// coordinate would poison every MBR and grid cell computed from it.
+    NonFinite(String),
     /// Structural problem (missing parenthesis, wrong arity, trailing text).
     Malformed(String),
     /// `EMPTY` geometries carry no coordinates and are rejected: the
@@ -27,6 +30,7 @@ impl fmt::Display for WktError {
             WktError::UnexpectedEnd => write!(f, "unexpected end of WKT input"),
             WktError::UnknownTag(t) => write!(f, "unknown WKT geometry tag: {t:?}"),
             WktError::BadNumber(s) => write!(f, "invalid coordinate literal: {s:?}"),
+            WktError::NonFinite(s) => write!(f, "coordinate literal is not finite: {s:?}"),
             WktError::Malformed(m) => write!(f, "malformed WKT: {m}"),
             WktError::Empty => write!(f, "EMPTY geometries are not supported"),
         }
@@ -102,7 +106,11 @@ impl<'a> Cursor<'a> {
         }
         let (tok, rest) = self.rest.split_at(end);
         self.rest = rest;
-        tok.parse::<f64>().map_err(|_| WktError::BadNumber(tok.to_string()))
+        match tok.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            Ok(_) => Err(WktError::NonFinite(tok.to_string())),
+            Err(_) => Err(WktError::BadNumber(tok.to_string())),
+        }
     }
 
     /// `x y` coordinate pair.

@@ -1,11 +1,20 @@
 //! The native (typed) MapReduce engine.
+//!
+//! A job runs in two passes. The data plane ([`JobRun`]'s constructors)
+//! executes the map and reduce closures once on the host and records each
+//! task's work; it reads only the shared cost model. The pricing pass
+//! ([`JobRun::price`]) turns that record into a stage trace on one cluster:
+//! slot waves, HDFS write bandwidth, fault plans, streaming pipe limits.
+//! [`JobRun::price_lanes`] prices one record on every live lane of a
+//! lockstep run; [`MapReduceJob`] is the one-cluster convenience.
 
 use std::collections::BTreeMap;
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::scheduler::{faulty_makespan, lpt_makespan, replicated_makespan, TaskSchedule};
 use sjc_cluster::{
-    Cluster, RecoveryEvent, RecoveryKind, SimError, SimHdfs, SimNs, StageKind, StageTrace,
+    Cluster, CostModel, Lanes, RecoveryEvent, RecoveryKind, SimError, SimHdfs, SimNs, StageKind,
+    StageTrace,
 };
 
 use crate::input_format::MapTask;
@@ -41,10 +50,6 @@ pub struct JobConfig {
     /// Multiplier on the script per-record cost (the geometry-library share
     /// of the script's work scales with the engine's refinement factor).
     pub script_cost_factor: f64,
-    /// Absolute simulated time at which the job starts. Only consulted by
-    /// the fault-aware scheduler (node crashes are scheduled on the run's
-    /// global clock); the zero-fault closed forms are start-invariant.
-    pub start_ns: SimNs,
 }
 
 impl JobConfig {
@@ -58,15 +63,7 @@ impl JobConfig {
             map_scale: ScaleMode::MoreTasks,
             script_reducer: false,
             script_cost_factor: 1.0,
-            start_ns: 0,
         }
-    }
-
-    /// Places the job at an absolute point on the run's simulated clock so
-    /// fault schedules (crash times) line up across stages.
-    pub fn starting_at(mut self, ns: SimNs) -> Self {
-        self.start_ns = ns;
-        self
     }
 
     pub fn script_reducer(mut self, yes: bool) -> Self {
@@ -159,16 +156,37 @@ pub struct JobStats {
     pub records_out: u64,
 }
 
-/// Output of a map-reduce run: reduce outputs, per-group shuffled byte
-/// sizes (for failure checks and diagnostics), stats and the stage trace.
+/// The host-side work of one task: everything pricing reads about it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TaskWork {
+    /// Bytes the task reads (a reduce group's shuffled bytes).
+    pub input_bytes: u64,
+    /// Records the task consumed (a reduce group's value count).
+    pub records: u64,
+    /// Bytes the task emitted.
+    pub out_bytes: u64,
+    /// Simulated CPU its closures charged.
+    pub extra_cpu_ns: SimNs,
+}
+
+/// The data-plane pass of one job: its output, computed once, and the work
+/// record of every task, ready to be priced on any cluster.
+#[derive(Debug, Clone)]
+pub struct JobRun<O> {
+    pub output: Vec<O>,
+    pub maps: Vec<TaskWork>,
+    /// Reduce groups in key order; `None` for map-only jobs.
+    pub reduces: Option<Vec<TaskWork>>,
+    pub stats: JobStats,
+    /// Streaming jobs also meter pipe bytes and gate on the pipe limit.
+    pub(crate) streaming: bool,
+}
+
+/// Output of a job priced on one cluster: outputs, stats and the stage
+/// trace.
+#[derive(Debug)]
 pub struct JobOutcome<O> {
     pub output: Vec<O>,
-    /// (group count, shuffled bytes) per reduce group, generation scale.
-    pub group_bytes: Vec<u64>,
-    /// Bytes emitted by each reduce group, in the same (key-sorted) order as
-    /// `group_bytes`. Streaming-mode pipe checks read this instead of
-    /// threading a side channel through the reducer closure.
-    pub group_out_bytes: Vec<u64>,
     pub stats: JobStats,
     pub trace: StageTrace,
     /// Recovery actions taken while scheduling this job (empty under
@@ -201,104 +219,58 @@ fn replicate_tasks(durations: &[SimNs], copies: u64) -> Vec<SimNs> {
     out
 }
 
-/// The engine: borrows the cluster (cost context) and HDFS (byte ledger).
-pub struct MapReduceJob<'a> {
-    pub cluster: &'a Cluster,
-    pub hdfs: &'a mut SimHdfs,
+/// Effective per-slot HDFS write bandwidth: on a multi-node cluster the
+/// replication pipeline streams two remote copies through the NIC, so a
+/// writer is capped by `min(disk, net / 2)` — on 1 Gbit/s EC2 networks
+/// this, not the SSD, bounds SpatialHadoop's index writes.
+fn hdfs_write_bw(cluster: &Cluster) -> f64 {
+    let node = &cluster.config.node;
+    if cluster.config.nodes > 1 {
+        node.slot_disk_write_bw().min(node.slot_net_bw() / 2.0)
+    } else {
+        node.slot_disk_write_bw()
+    }
 }
 
-impl<'a> MapReduceJob<'a> {
-    pub fn new(cluster: &'a Cluster, hdfs: &'a mut SimHdfs) -> Self {
-        MapReduceJob { cluster, hdfs }
+/// Penalty for input blocks whose primary replica died before the stage
+/// started: the dead fraction of the full-scale input is re-fetched from
+/// remote replicas over the NIC, spread across surviving slots. Returns
+/// `(extra_ns, bytes_reread, event)`.
+fn failover_penalty(
+    cluster: &Cluster,
+    hdfs: &SimHdfs,
+    stage: &str,
+    start: SimNs,
+    full_input_bytes: u64,
+) -> (SimNs, u64, Option<RecoveryEvent>) {
+    let dead = cluster.faults.dead_nodes_at(start);
+    if dead.is_empty() || full_input_bytes == 0 {
+        return (0, 0, None);
     }
+    let nodes = cluster.config.nodes;
+    let node = &cluster.config.node;
+    let live = nodes.saturating_sub(dead.len() as u32).max(1);
+    let reread = (full_input_bytes as f64 * dead.len() as f64 / nodes as f64) as u64;
+    let live_slots = (live as u64 * node.cores as u64).max(1);
+    let extra = cluster.cost.io_ns(reread / live_slots, node.slot_net_bw());
+    let ev = RecoveryEvent {
+        stage: stage.to_string(),
+        kind: RecoveryKind::ReplicaFailover { blocks: reread.div_ceil(hdfs.block_size().max(1)) },
+        wasted_ns: extra,
+    };
+    (extra, reread, Some(ev))
+}
 
-    /// Effective per-slot HDFS write bandwidth: on a multi-node cluster the
-    /// replication pipeline streams two remote copies through the NIC, so a
-    /// writer is capped by `min(disk, net / 2)` — on 1 Gbit/s EC2 networks
-    /// this, not the SSD, bounds SpatialHadoop's index writes.
-    fn hdfs_write_bw(&self) -> f64 {
-        let node = &self.cluster.config.node;
-        if self.cluster.config.nodes > 1 {
-            node.slot_disk_write_bw().min(node.slot_net_bw() / 2.0)
-        } else {
-            node.slot_disk_write_bw()
-        }
-    }
-
-    /// Penalty for input blocks whose primary replica died before the stage
-    /// started: the dead fraction of the full-scale input is re-fetched from
-    /// remote replicas over the NIC, spread across surviving slots. Returns
-    /// `(extra_ns, bytes_reread, event)`.
-    fn failover_penalty(
-        &self,
-        stage: &str,
-        start: SimNs,
-        full_input_bytes: u64,
-    ) -> (SimNs, u64, Option<RecoveryEvent>) {
-        let plan = &self.cluster.faults;
-        let dead = plan.dead_nodes_at(start);
-        if dead.is_empty() || full_input_bytes == 0 {
-            return (0, 0, None);
-        }
-        let nodes = self.cluster.config.nodes;
-        let node = &self.cluster.config.node;
-        let live = nodes.saturating_sub(dead.len() as u32).max(1);
-        let reread = (full_input_bytes as f64 * dead.len() as f64 / nodes as f64) as u64;
-        let live_slots = (live as u64 * node.cores as u64).max(1);
-        let extra = self.cluster.cost.io_ns(reread / live_slots, node.slot_net_bw());
-        let ev = RecoveryEvent {
-            stage: stage.to_string(),
-            kind: RecoveryKind::ReplicaFailover {
-                blocks: reread.div_ceil(self.hdfs.block_size().max(1)),
-            },
-            wasted_ns: extra,
-        };
-        (extra, reread, Some(ev))
-    }
-
-    fn map_task_duration<T>(
-        &self,
-        cfg: &JobConfig,
-        task: &MapTask<T>,
-        emitted_bytes: u64,
-        extra_cpu: SimNs,
-    ) -> SimNs {
-        let c = &self.cluster.cost;
-        let node = &self.cluster.config.node;
-        // I/O at the slot's share of the node disk; CPU scaled by the
-        // node's per-core speed.
-        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-        let mut cpu = 0u64;
-        if cfg.parse_input_text {
-            cpu += c.parse_ns(task.input_bytes);
-        }
-        cpu += c.hadoop_records_ns(task.records.len() as u64);
-        cpu += extra_cpu;
-        // Spill the map output to local disk (Hadoop always materializes).
-        cpu += c.serialize_ns(emitted_bytes);
-        io += c.io_ns(emitted_bytes, node.slot_disk_write_bw());
-        io + (cpu as f64 * node.cpu_scale) as SimNs
-    }
-
-    /// Runs a map-only job (no shuffle; output written to HDFS if configured).
+impl<O: Send> JobRun<O> {
+    /// Data plane of a map-only job (no shuffle).
     ///
-    /// Map tasks execute in parallel on the host (`sjc-par`); the simulated
-    /// cost accounting is merged serially in task order afterwards, so the
-    /// outcome is bit-identical at every thread count.
-    pub fn map_only<T: Sync, O: Send>(
-        &mut self,
-        cfg: &JobConfig,
+    /// Map tasks execute in parallel on the host (`sjc-par`); the records
+    /// merge serially in task order afterwards, so the run is bit-identical
+    /// at every thread count.
+    pub fn map_only<T: Sync>(
         tasks: Vec<MapTask<T>>,
         map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError> {
-        let c = self.cluster.cost.clone();
-        let node = self.cluster.config.node;
-        let slots = self.cluster.total_slots();
-
-        let mut output = Vec::new();
-        let mut durations: Vec<SimNs> = Vec::with_capacity(tasks.len());
-        let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-
+    ) -> JobRun<O> {
         // Skew-aware dispatch: process fat tasks first (LPT by record count)
         // so one oversized partition cannot serialize the host-parallel tail;
         // results still land in task order, so nothing downstream changes.
@@ -313,131 +285,57 @@ impl<'a> MapReduceJob<'a> {
                 em
             },
         );
-
-        // sjc-lint: allow(serial-hot-loop) — cost merge in task order; the map closures already ran in parallel above
+        let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
+        let mut maps = Vec::with_capacity(tasks.len());
+        let mut output = Vec::new();
+        // sjc-lint: allow(serial-hot-loop) — record merge in task order; the map closures already ran in parallel above
         for (task, em) in tasks.iter().zip(ems) {
-            stats.records_in += task.records.len() as u64;
+            let work = TaskWork {
+                input_bytes: task.input_bytes,
+                records: task.records.len() as u64,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            };
+            stats.records_in += work.records;
             stats.records_out += em.out.len() as u64;
-            stats.input_bytes += task.input_bytes;
-            stats.output_bytes += em.bytes;
-
-            let io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-            let mut cpu = 0u64;
-            if cfg.parse_input_text {
-                cpu += c.parse_ns(task.input_bytes);
-            }
-            cpu += c.hadoop_records_ns(task.records.len() as u64);
-            cpu += em.extra_cpu_ns;
-            let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-            if cfg.write_output_to_hdfs {
-                ns += (c.serialize_ns(em.bytes) as f64 * node.cpu_scale) as SimNs
-                    + c.hdfs_write_ns(em.bytes, self.hdfs_write_bw());
-            }
-            durations.push(ns);
+            stats.input_bytes += work.input_bytes;
+            stats.output_bytes += work.out_bytes;
+            maps.push(work);
             output.extend(em.out);
         }
-
-        let plan = &self.cluster.faults;
-        let start = cfg.start_ns + c.hadoop_job_startup_ns;
-        let full_tasks: Vec<SimNs> = match cfg.map_scale {
-            ScaleMode::MoreTasks => {
-                let with_overhead: Vec<SimNs> =
-                    durations.iter().map(|d| d + c.hadoop_task_overhead_ns).collect();
-                if plan.is_none() {
-                    let makespan = replicated_makespan(&with_overhead, slots, cfg.multiplier);
-                    return Ok(self.finish_map_only(cfg, makespan, None, output, stats));
-                }
-                replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64)
-            }
-            ScaleMode::BiggerTasks => {
-                let scaled: Vec<SimNs> = durations
-                    .iter()
-                    .map(|d| c.hadoop_task_overhead_ns + (*d as f64 * cfg.multiplier) as SimNs)
-                    .collect();
-                if plan.is_none() {
-                    let makespan = lpt_makespan(&scaled, slots);
-                    return Ok(self.finish_map_only(cfg, makespan, None, output, stats));
-                }
-                scaled
-            }
-        };
-        let sched = faulty_makespan(
-            &full_tasks,
-            self.cluster.config.node.cores,
-            self.cluster.config.nodes,
-            plan,
-            &cfg.name,
-            start,
-            false,
-        )?;
-        Ok(self.finish_map_only(cfg, sched.makespan, Some(sched), output, stats))
+        JobRun { output, maps, reduces: None, stats, streaming: false }
     }
 
-    /// Shared tail of [`Self::map_only`]: trace assembly and byte ledger.
-    fn finish_map_only<O>(
-        &mut self,
-        cfg: &JobConfig,
-        makespan: SimNs,
-        sched: Option<TaskSchedule>,
-        output: Vec<O>,
-        stats: JobStats,
-    ) -> JobOutcome<O> {
-        let c = self.cluster.cost.clone();
-        let mut trace = StageTrace::new(cfg.name.clone(), StageKind::MapOnlyJob, cfg.phase);
-        trace.sim_ns = c.hadoop_job_startup_ns + makespan;
-        trace.hdfs_bytes_read = (stats.input_bytes as f64 * cfg.multiplier) as u64;
-        if cfg.write_output_to_hdfs {
-            trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
-            self.hdfs.total_bytes_written += trace.hdfs_bytes_written;
-        }
-        self.hdfs.total_bytes_read += trace.hdfs_bytes_read;
-        trace.tasks = (stats.map_tasks as f64 * cfg.multiplier) as u64;
-
-        let mut recovery = Vec::new();
-        if let Some(s) = sched {
-            trace.attempts = s.attempts;
-            trace.speculative = s.speculative;
-            trace.wasted_ns = s.wasted_ns;
-            recovery = s.events;
-            // Input blocks whose primary died before the job started come
-            // from remote replicas.
-            let start = cfg.start_ns + c.hadoop_job_startup_ns;
-            let (extra, reread, ev) =
-                self.failover_penalty(&cfg.name, start, trace.hdfs_bytes_read);
-            trace.sim_ns += extra;
-            trace.bytes_reread = reread;
-            recovery.extend(ev);
-        }
-
-        JobOutcome {
-            output,
-            group_bytes: Vec::new(),
-            group_out_bytes: Vec::new(),
-            stats,
-            trace,
-            recovery,
-        }
+    /// Data plane of a map → shuffle → reduce job. Keys are grouped with a
+    /// deterministic sort order.
+    pub fn map_reduce<T: Sync, K, V>(
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> JobRun<O>
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+    {
+        Self::map_reduce_inner(tasks, &map, None, &reduce)
     }
 
-    /// Runs a full map → shuffle → reduce job with a map-side **combiner**:
-    /// per map task, same-key values are pre-aggregated before the shuffle,
-    /// cutting shuffle volume — the classic Hadoop optimization for
+    /// [`JobRun::map_reduce`] with a map-side **combiner**: per map task,
+    /// same-key values are pre-aggregated before the shuffle, cutting
+    /// shuffle volume — the classic Hadoop optimization for
     /// aggregation-shaped jobs. `combine` folds one task's values for one
     /// key into fewer `(value, serialized_bytes)` pairs.
-    pub fn map_combine_reduce<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
+    pub fn map_combine_reduce<T: Sync, K, V>(
+        cost: &CostModel,
         tasks: Vec<MapTask<T>>,
         map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
         combine: impl Fn(&K, Vec<V>) -> Vec<(V, u64)> + Sync,
         reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError>
+    ) -> JobRun<O>
     where
         K: Ord + Clone + Send + Sync,
         V: Send + Sync,
-        O: Send,
     {
-        let cost = self.cluster.cost.clone();
         let combiner = |em: MapEmitter<K, V>| -> MapEmitter<K, V> {
             let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
             let n = em.pairs.len() as u64;
@@ -454,52 +352,26 @@ impl<'a> MapReduceJob<'a> {
             }
             out
         };
-        self.map_reduce_inner(cfg, tasks, &map, Some(&combiner), &reduce)
-    }
-
-    /// Runs a full map → shuffle → reduce job. Keys are grouped with a
-    /// deterministic sort order.
-    pub fn map_reduce<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
-        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError>
-    where
-        K: Ord + Clone + Send + Sync,
-        V: Send + Sync,
-        O: Send,
-    {
-        self.map_reduce_inner(cfg, tasks, &map, None, &reduce)
+        Self::map_reduce_inner(tasks, &map, Some(&combiner), &reduce)
     }
 
     /// Host-parallel core: map tasks and reduce groups each run through
-    /// `sjc_par::par_map` (order-preserving), then the simulated durations,
-    /// stats, shuffle grouping and output are merged serially in task / key
-    /// order — so every simulated number is independent of the thread count.
+    /// `sjc_par::par_map_weighted` (order-preserving), then records, shuffle
+    /// grouping and output merge serially in task / key order — so the run
+    /// is independent of the thread count.
     #[allow(clippy::type_complexity)]
-    fn map_reduce_inner<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
+    fn map_reduce_inner<T: Sync, K, V>(
         tasks: Vec<MapTask<T>>,
         map: &(dyn Fn(&T, &mut MapEmitter<K, V>) + Sync),
         combiner: Option<&(dyn Fn(MapEmitter<K, V>) -> MapEmitter<K, V> + Sync)>,
         reduce: &(dyn Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync),
-    ) -> Result<JobOutcome<O>, SimError>
+    ) -> JobRun<O>
     where
         K: Ord + Clone + Send + Sync,
         V: Send + Sync,
-        O: Send,
     {
-        let c = self.cluster.cost.clone();
-        let node = self.cluster.config.node;
-        let nodes = self.cluster.config.nodes;
-        let slots = self.cluster.total_slots();
-
-        // ---- map phase (real execution + per-task cost) ----
         let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-        let mut map_durations = Vec::with_capacity(tasks.len());
+        let mut maps = Vec::with_capacity(tasks.len());
         // Group by key with byte accounting: BTreeMap gives deterministic
         // group order (Hadoop's shuffle sorts keys).
         let mut groups: BTreeMap<K, (Vec<V>, u64)> = BTreeMap::new();
@@ -521,11 +393,16 @@ impl<'a> MapReduceJob<'a> {
         );
         // sjc-lint: allow(serial-hot-loop) — shuffle grouping must append values in task order; map closures already ran in parallel above
         for (task, em) in tasks.iter().zip(ems) {
-            stats.records_in += task.records.len() as u64;
-            stats.input_bytes += task.input_bytes;
-            stats.shuffle_bytes += em.bytes;
-            let dur = self.map_task_duration(cfg, task, em.bytes, em.extra_cpu_ns);
-            map_durations.push(dur + c.hadoop_task_overhead_ns);
+            let work = TaskWork {
+                input_bytes: task.input_bytes,
+                records: task.records.len() as u64,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            };
+            stats.records_in += work.records;
+            stats.input_bytes += work.input_bytes;
+            stats.shuffle_bytes += work.out_bytes;
+            maps.push(work);
             let n_pairs = em.pairs.len().max(1) as u64;
             let bytes_per_pair = em.bytes / n_pairs;
             for (k, v) in em.pairs {
@@ -534,8 +411,206 @@ impl<'a> MapReduceJob<'a> {
                 e.1 += bytes_per_pair;
             }
         }
-        let plan = self.cluster.faults.clone();
-        let start = cfg.start_ns + c.hadoop_job_startup_ns;
+
+        let group_list: Vec<(&K, &(Vec<V>, u64))> = groups.iter().collect();
+        // Reduce groups are the spatial cells — the skew hazard the LPT
+        // schedule exists for: one fat NYC-census cell dispatched last would
+        // serialize the whole tail. Weight by group size; output order
+        // (sorted key order) is unchanged by contract.
+        let reduce_ems: Vec<ReduceEmitter<O>> = sjc_par::par_map_weighted(
+            &group_list,
+            |(_, (vs, _))| vs.len() as u64,
+            |&(k, (vs, _))| {
+                let mut em = ReduceEmitter::new();
+                reduce(k, vs, &mut em);
+                em
+            },
+        );
+        let mut reduces = Vec::with_capacity(group_list.len());
+        let mut output = Vec::new();
+        // sjc-lint: allow(serial-hot-loop) — output merges in sorted key order; reduce closures already ran in parallel above
+        for ((_, (vs, bytes)), em) in group_list.into_iter().zip(reduce_ems) {
+            stats.records_out += em.out.len() as u64;
+            stats.output_bytes += em.bytes;
+            reduces.push(TaskWork {
+                input_bytes: *bytes,
+                records: vs.len() as u64,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            });
+            output.extend(em.out);
+        }
+        stats.reduce_tasks = reduces.len() as u64;
+        JobRun { output, maps, reduces: Some(reduces), stats, streaming: false }
+    }
+}
+
+impl<O> JobRun<O> {
+    /// Prices the run on every live lane of a lockstep run, each starting on
+    /// its own clock; lanes the job fails on retire.
+    pub fn price_lanes(&self, lanes: &mut Lanes<'_>, cfg: &JobConfig) -> Result<(), SimError> {
+        lanes.price(|lane| {
+            let start = lane.clock();
+            self.price(lane.cluster, &mut lane.hdfs, cfg, start)
+        })
+    }
+
+    /// Prices the run on `cluster` for a job starting at absolute simulated
+    /// time `start_ns` (only fault schedules read it; the zero-fault closed
+    /// forms are start-invariant), recording its bytes in `hdfs`.
+    pub fn price(
+        &self,
+        cluster: &Cluster,
+        hdfs: &mut SimHdfs,
+        cfg: &JobConfig,
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let (mut trace, recovery) = match &self.reduces {
+            None => self.price_map_only(cluster, hdfs, cfg, start_ns)?,
+            Some(reduces) => self.price_map_reduce(reduces, cluster, hdfs, cfg, start_ns)?,
+        };
+        if self.streaming {
+            self.price_pipes(cluster, cfg, &mut trace)?;
+        }
+        Ok((trace, recovery))
+    }
+
+    fn price_map_only(
+        &self,
+        cluster: &Cluster,
+        hdfs: &mut SimHdfs,
+        cfg: &JobConfig,
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let c = &cluster.cost;
+        let node = cluster.config.node;
+        let slots = cluster.total_slots();
+        let write_bw = hdfs_write_bw(cluster);
+        let durations = self.maps.iter().map(|t| {
+            let io = c.io_ns(t.input_bytes, node.slot_disk_read_bw());
+            let mut cpu = 0u64;
+            if cfg.parse_input_text {
+                cpu += c.parse_ns(t.input_bytes);
+            }
+            cpu += c.hadoop_records_ns(t.records);
+            cpu += t.extra_cpu_ns;
+            let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
+            if cfg.write_output_to_hdfs {
+                ns += (c.serialize_ns(t.out_bytes) as f64 * node.cpu_scale) as SimNs
+                    + c.hdfs_write_ns(t.out_bytes, write_bw);
+            }
+            ns
+        });
+
+        let plan = &cluster.faults;
+        let start = start_ns + c.hadoop_job_startup_ns;
+        let full_tasks: Vec<SimNs> = match cfg.map_scale {
+            ScaleMode::MoreTasks => {
+                let with_overhead: Vec<SimNs> =
+                    durations.map(|d| d + c.hadoop_task_overhead_ns).collect();
+                if plan.is_none() {
+                    let makespan = replicated_makespan(&with_overhead, slots, cfg.multiplier);
+                    return Ok(self.map_only_trace(cluster, hdfs, cfg, start, makespan, None));
+                }
+                replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64)
+            }
+            ScaleMode::BiggerTasks => {
+                let scaled: Vec<SimNs> = durations
+                    .map(|d| c.hadoop_task_overhead_ns + (d as f64 * cfg.multiplier) as SimNs)
+                    .collect();
+                if plan.is_none() {
+                    let makespan = lpt_makespan(&scaled, slots);
+                    return Ok(self.map_only_trace(cluster, hdfs, cfg, start, makespan, None));
+                }
+                scaled
+            }
+        };
+        let sched = faulty_makespan(
+            &full_tasks,
+            node.cores,
+            cluster.config.nodes,
+            plan,
+            &cfg.name,
+            start,
+            false,
+        )?;
+        Ok(self.map_only_trace(cluster, hdfs, cfg, start, sched.makespan, Some(sched)))
+    }
+
+    /// Shared tail of [`Self::price_map_only`]: trace assembly and byte ledger.
+    fn map_only_trace(
+        &self,
+        cluster: &Cluster,
+        hdfs: &mut SimHdfs,
+        cfg: &JobConfig,
+        start: SimNs,
+        makespan: SimNs,
+        sched: Option<TaskSchedule>,
+    ) -> (StageTrace, Vec<RecoveryEvent>) {
+        let stats = &self.stats;
+        let mut trace = StageTrace::new(cfg.name.clone(), StageKind::MapOnlyJob, cfg.phase);
+        trace.sim_ns = cluster.cost.hadoop_job_startup_ns + makespan;
+        trace.hdfs_bytes_read = (stats.input_bytes as f64 * cfg.multiplier) as u64;
+        if cfg.write_output_to_hdfs {
+            trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
+            hdfs.total_bytes_written += trace.hdfs_bytes_written;
+        }
+        hdfs.total_bytes_read += trace.hdfs_bytes_read;
+        trace.tasks = (stats.map_tasks as f64 * cfg.multiplier) as u64;
+
+        let mut recovery = Vec::new();
+        if let Some(s) = sched {
+            trace.attempts = s.attempts;
+            trace.speculative = s.speculative;
+            trace.wasted_ns = s.wasted_ns;
+            recovery = s.events;
+            // Input blocks whose primary died before the job started come
+            // from remote replicas.
+            let (extra, reread, ev) =
+                failover_penalty(cluster, hdfs, &cfg.name, start, trace.hdfs_bytes_read);
+            trace.sim_ns += extra;
+            trace.bytes_reread = reread;
+            recovery.extend(ev);
+        }
+        (trace, recovery)
+    }
+
+    fn price_map_reduce(
+        &self,
+        reduces: &[TaskWork],
+        cluster: &Cluster,
+        hdfs: &mut SimHdfs,
+        cfg: &JobConfig,
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let c = &cluster.cost;
+        let node = cluster.config.node;
+        let nodes = cluster.config.nodes;
+        let slots = cluster.total_slots();
+        let write_bw = hdfs_write_bw(cluster);
+        let stats = &self.stats;
+
+        // ---- map phase: per-task duration (I/O at the slot's share of the
+        // node disk, CPU scaled by the node's per-core speed, and the spill
+        // of the map output to local disk — Hadoop always materializes) ----
+        let map_durations: Vec<SimNs> = self
+            .maps
+            .iter()
+            .map(|t| {
+                let mut io = c.io_ns(t.input_bytes, node.slot_disk_read_bw());
+                let mut cpu = 0u64;
+                if cfg.parse_input_text {
+                    cpu += c.parse_ns(t.input_bytes);
+                }
+                cpu += c.hadoop_records_ns(t.records);
+                cpu += t.extra_cpu_ns;
+                cpu += c.serialize_ns(t.out_bytes);
+                io += c.io_ns(t.out_bytes, node.slot_disk_write_bw());
+                io + (cpu as f64 * node.cpu_scale) as SimNs + c.hadoop_task_overhead_ns
+            })
+            .collect();
+        let plan = &cluster.faults;
+        let start = start_ns + c.hadoop_job_startup_ns;
         // Map wave. Under faults the full-scale task list runs through the
         // event scheduler with `rerun_on_crash`: a completed map task whose
         // host dies before the shuffle re-executes (its output is gone).
@@ -544,47 +619,34 @@ impl<'a> MapReduceJob<'a> {
         // `rerun_on_crash` turns off and the loss becomes a remote re-read.
         let rerun_lost_maps = !plan.checkpoint.enabled();
         let mut map_sched: Option<TaskSchedule> = None;
-        let mut map_makespan = match cfg.map_scale {
+        let full_maps: Vec<SimNs> = match cfg.map_scale {
+            ScaleMode::MoreTasks if plan.is_none() => Vec::new(),
             ScaleMode::MoreTasks => {
-                if plan.is_none() {
-                    replicated_makespan(&map_durations, slots, cfg.multiplier)
-                } else {
-                    let full =
-                        replicate_tasks(&map_durations, cfg.multiplier.round().max(1.0) as u64);
-                    let s = faulty_makespan(
-                        &full,
-                        node.cores,
-                        nodes,
-                        &plan,
-                        &format!("{}/map", cfg.name),
-                        start,
-                        rerun_lost_maps,
-                    )?;
-                    let m = s.makespan;
-                    map_sched = Some(s);
-                    m
-                }
+                replicate_tasks(&map_durations, cfg.multiplier.round().max(1.0) as u64)
             }
             ScaleMode::BiggerTasks => {
-                let scaled: Vec<SimNs> =
-                    map_durations.iter().map(|d| (*d as f64 * cfg.multiplier) as SimNs).collect();
-                if plan.is_none() {
-                    lpt_makespan(&scaled, slots)
-                } else {
-                    let s = faulty_makespan(
-                        &scaled,
-                        node.cores,
-                        nodes,
-                        &plan,
-                        &format!("{}/map", cfg.name),
-                        start,
-                        rerun_lost_maps,
-                    )?;
-                    let m = s.makespan;
-                    map_sched = Some(s);
-                    m
-                }
+                map_durations.iter().map(|d| (*d as f64 * cfg.multiplier) as SimNs).collect()
             }
+        };
+        let mut map_makespan = if plan.is_none() {
+            match cfg.map_scale {
+                ScaleMode::MoreTasks => replicated_makespan(&map_durations, slots, cfg.multiplier),
+                ScaleMode::BiggerTasks => lpt_makespan(&full_maps, slots),
+            }
+        } else {
+            let stage = format!("{}/map", cfg.name);
+            let s = faulty_makespan(
+                &full_maps,
+                node.cores,
+                nodes,
+                plan,
+                &stage,
+                start,
+                rerun_lost_maps,
+            )?;
+            let m = s.makespan;
+            map_sched = Some(s);
+            m
         };
 
         // Checkpointed map output: the write streams the full-scale spill
@@ -598,10 +660,8 @@ impl<'a> MapReduceJob<'a> {
             let full_shuffle = (stats.shuffle_bytes as f64 * cfg.multiplier) as u64;
             if full_shuffle > 0 {
                 let repl = plan.checkpoint.replication.max(1) as u64;
-                let write_ns = c.io_ns(
-                    full_shuffle.saturating_mul(repl) / (slots as u64).max(1),
-                    self.hdfs_write_bw(),
-                );
+                let write_ns =
+                    c.io_ns(full_shuffle.saturating_mul(repl) / (slots as u64).max(1), write_bw);
                 map_makespan += write_ns;
                 ckpt_written = full_shuffle;
                 ckpt_events.push(RecoveryEvent {
@@ -631,52 +691,28 @@ impl<'a> MapReduceJob<'a> {
         // ---- shuffle + reduce phase ----
         // Each group is one spatial partition: fixed count, data grows with
         // the multiplier.
-        let mut reduce_durations = Vec::with_capacity(groups.len());
-        let mut group_bytes = Vec::with_capacity(groups.len());
-        let mut group_out_bytes = Vec::with_capacity(groups.len());
-        let mut output = Vec::new();
         let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        let group_list: Vec<(&K, &(Vec<V>, u64))> = groups.iter().collect();
-        // Reduce groups are the spatial cells — the skew hazard the LPT
-        // schedule exists for: one fat NYC-census cell dispatched last would
-        // serialize the whole tail. Weight by group size; output order
-        // (sorted key order) is unchanged by contract.
-        let reduce_ems: Vec<ReduceEmitter<O>> = sjc_par::par_map_weighted(
-            &group_list,
-            |(_, (vs, _))| vs.len() as u64,
-            |&(k, (vs, _))| {
-                let mut em = ReduceEmitter::new();
-                reduce(k, vs, &mut em);
-                em
-            },
-        );
-        // sjc-lint: allow(serial-hot-loop) — output and durations merge in sorted key order; reduce closures already ran in parallel above
-        for ((_, (vs, bytes)), em) in group_list.into_iter().zip(reduce_ems) {
-            stats.records_out += em.out.len() as u64;
-            stats.output_bytes += em.bytes;
-            group_bytes.push(*bytes);
-            group_out_bytes.push(em.bytes);
-
-            let full_bytes = (*bytes as f64 * cfg.multiplier) as u64;
-            let full_records = (vs.len() as f64 * cfg.multiplier) as u64;
-            // Fetch spilled map output: disk read + cross-node transfer.
-            let mut io = c.io_ns(full_bytes, node.slot_disk_read_bw());
-            io += c.io_ns((full_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
-            // Merge-sort the group (Hadoop sorts by key; within-partition
-            // sorting of values is what the streaming dedup relies on).
-            let mut cpu = c.sort_ns(full_records);
-            cpu += c.hadoop_records_ns(full_records);
-            cpu += (em.extra_cpu_ns as f64 * cfg.multiplier) as SimNs;
-            if cfg.write_output_to_hdfs {
-                let out_full = (em.bytes as f64 * cfg.multiplier) as u64;
-                cpu += c.serialize_ns(out_full);
-                io += c.hdfs_write_ns(out_full, self.hdfs_write_bw());
-            }
-            let ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-            reduce_durations.push(c.hadoop_task_overhead_ns + ns);
-            output.extend(em.out);
-        }
-        stats.reduce_tasks = groups.len() as u64;
+        let reduce_durations: Vec<SimNs> = reduces
+            .iter()
+            .map(|g| {
+                let full_bytes = (g.input_bytes as f64 * cfg.multiplier) as u64;
+                let full_records = (g.records as f64 * cfg.multiplier) as u64;
+                // Fetch spilled map output: disk read + cross-node transfer.
+                let mut io = c.io_ns(full_bytes, node.slot_disk_read_bw());
+                io += c.io_ns((full_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
+                // Merge-sort the group (Hadoop sorts by key; within-partition
+                // sorting of values is what the streaming dedup relies on).
+                let mut cpu = c.sort_ns(full_records);
+                cpu += c.hadoop_records_ns(full_records);
+                cpu += (g.extra_cpu_ns as f64 * cfg.multiplier) as SimNs;
+                if cfg.write_output_to_hdfs {
+                    let out_full = (g.out_bytes as f64 * cfg.multiplier) as u64;
+                    cpu += c.serialize_ns(out_full);
+                    io += c.hdfs_write_ns(out_full, write_bw);
+                }
+                c.hadoop_task_overhead_ns + io + (cpu as f64 * node.cpu_scale) as SimNs
+            })
+            .collect();
         // Reduce wave: group durations are already full-scale; under faults
         // it starts on the global clock where the map wave ended.
         let mut reduce_sched: Option<TaskSchedule> = None;
@@ -687,7 +723,7 @@ impl<'a> MapReduceJob<'a> {
                 &reduce_durations,
                 node.cores,
                 nodes,
-                &plan,
+                plan,
                 &format!("{}/reduce", cfg.name),
                 start + map_makespan,
                 false,
@@ -703,14 +739,14 @@ impl<'a> MapReduceJob<'a> {
         trace.shuffle_bytes = (stats.shuffle_bytes as f64 * cfg.multiplier) as u64;
         if cfg.write_output_to_hdfs {
             trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
-            self.hdfs.total_bytes_written += trace.hdfs_bytes_written;
+            hdfs.total_bytes_written += trace.hdfs_bytes_written;
         }
-        self.hdfs.total_bytes_read += trace.hdfs_bytes_read;
+        hdfs.total_bytes_read += trace.hdfs_bytes_read;
         trace.tasks = ((stats.map_tasks as f64) * cfg.multiplier) as u64 + stats.reduce_tasks;
 
         if ckpt_written > 0 {
             trace.hdfs_bytes_written += ckpt_written;
-            self.hdfs.total_bytes_written += ckpt_written;
+            hdfs.total_bytes_written += ckpt_written;
         }
 
         let mut recovery = Vec::new();
@@ -723,13 +759,82 @@ impl<'a> MapReduceJob<'a> {
         recovery.extend(ckpt_events);
         if !plan.is_none() {
             let (extra, reread, ev) =
-                self.failover_penalty(&cfg.name, start, trace.hdfs_bytes_read);
+                failover_penalty(cluster, hdfs, &cfg.name, start, trace.hdfs_bytes_read);
             trace.sim_ns += extra;
             trace.bytes_reread = reread + ckpt_reread;
             recovery.extend(ev);
         }
+        Ok((trace, recovery))
+    }
+}
 
-        Ok(JobOutcome { output, group_bytes, group_out_bytes, stats, trace, recovery })
+/// The engine for one cluster: runs a job's data plane and prices it on
+/// `cluster`, recording bytes in `hdfs`. A job priced here starts at
+/// simulated time 0; lockstep runs price [`JobRun`]s on their lanes'
+/// clocks instead.
+pub struct MapReduceJob<'a> {
+    pub cluster: &'a Cluster,
+    pub hdfs: &'a mut SimHdfs,
+}
+
+impl<'a> MapReduceJob<'a> {
+    pub fn new(cluster: &'a Cluster, hdfs: &'a mut SimHdfs) -> Self {
+        MapReduceJob { cluster, hdfs }
+    }
+
+    /// Runs a map-only job (no shuffle; output written to HDFS if configured).
+    pub fn map_only<T: Sync, O: Send>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError> {
+        self.price(cfg, JobRun::map_only(tasks, map))
+    }
+
+    /// Runs a map → combine → shuffle → reduce job (see
+    /// [`JobRun::map_combine_reduce`]).
+    pub fn map_combine_reduce<T: Sync, K, V, O>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        combine: impl Fn(&K, Vec<V>) -> Vec<(V, u64)> + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError>
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        let run = JobRun::map_combine_reduce(&self.cluster.cost, tasks, map, combine, reduce);
+        self.price(cfg, run)
+    }
+
+    /// Runs a full map → shuffle → reduce job.
+    pub fn map_reduce<T: Sync, K, V, O>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError>
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        self.price(cfg, JobRun::map_reduce(tasks, map, reduce))
+    }
+
+    /// Prices a recorded run on this engine's cluster.
+    pub(crate) fn price<O>(
+        &mut self,
+        cfg: &JobConfig,
+        run: JobRun<O>,
+    ) -> Result<JobOutcome<O>, SimError> {
+        let (trace, recovery) = run.price(self.cluster, self.hdfs, cfg, 0)?;
+        Ok(JobOutcome { output: run.output, stats: run.stats, trace, recovery })
     }
 }
 
@@ -802,26 +907,20 @@ mod tests {
 
     #[test]
     fn skewed_reduce_group_dominates_makespan() {
-        let cluster = cluster();
-        let mut hdfs = SimHdfs::new(1);
-        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
-        let cfg = JobConfig::new("skew", Phase::DistributedJoin, 1.0).write_output(false);
         // 1000 records: 90% to key 0, the rest spread over 9 keys.
         let records: Vec<u64> = (0..1000).collect();
         let tasks = block_splits(&records, 1000.0, 64 << 20);
-        let outcome = engine
-            .map_reduce(
-                &cfg,
-                tasks,
-                |r, em| {
-                    let key = if r % 10 == 0 { (r % 9) + 1 } else { 0 };
-                    em.emit(key, *r, 1 << 20); // 1 MB per record
-                },
-                |_k, vs, em| em.emit(vs.len() as u64, 8),
-            )
-            .unwrap();
-        let max = *outcome.group_bytes.iter().max().unwrap();
-        let min = *outcome.group_bytes.iter().min().unwrap();
+        let run = JobRun::map_reduce(
+            tasks,
+            |r, em| {
+                let key = if r % 10 == 0 { (r % 9) + 1 } else { 0 };
+                em.emit(key, *r, 1 << 20); // 1 MB per record
+            },
+            |_k, vs, em| em.emit(vs.len() as u64, 8),
+        );
+        let group_bytes: Vec<u64> = run.reduces.unwrap().iter().map(|g| g.input_bytes).collect();
+        let max = *group_bytes.iter().max().unwrap();
+        let min = *group_bytes.iter().min().unwrap();
         assert!(max > 50 * min, "skew visible in group bytes");
     }
 

@@ -28,5 +28,7 @@ pub mod streaming;
 
 pub use counters::Counters;
 pub use input_format::{block_splits, MapTask};
-pub use job::{JobConfig, JobStats, MapEmitter, MapReduceJob, ReduceEmitter};
-pub use streaming::{StreamingJob, StreamingOutcome};
+pub use job::{
+    JobConfig, JobOutcome, JobRun, JobStats, MapEmitter, MapReduceJob, ReduceEmitter, TaskWork,
+};
+pub use streaming::StreamingJob;

@@ -7,43 +7,25 @@
 //! representation between stages), and a hard failure when one task's pipe
 //! payload exceeds what the node can buffer — the paper's "broken pipeline
 //! ... when the data that pipes through multiple processors is too big".
+//!
+//! The pipe and parse charges belong to the data plane (they depend on the
+//! lines alone); the pipe limit depends on node memory, so the broken-pipe
+//! gate is part of pricing.
 
-use sjc_cluster::{RecoveryEvent, SimError, StageTrace};
+use sjc_cluster::{Cluster, CostModel, SimError, StageTrace};
 
 use crate::input_format::MapTask;
-use crate::job::{JobConfig, JobStats, MapReduceJob};
+use crate::job::{JobConfig, JobOutcome, JobRun, MapReduceJob};
 
-/// Result of a successful streaming job.
-#[derive(Debug)]
-pub struct StreamingOutcome {
-    /// Output lines (reduce output, or map output for map-only jobs).
-    pub lines: Vec<String>,
-    pub stats: JobStats,
-    pub trace: StageTrace,
-    /// Recovery actions the underlying engine took (empty without faults).
-    pub recovery: Vec<RecoveryEvent>,
-}
-
-/// A streaming job runner borrowing the native engine.
-pub struct StreamingJob<'a, 'b> {
-    pub engine: &'b mut MapReduceJob<'a>,
-}
-
-impl<'a, 'b> StreamingJob<'a, 'b> {
-    pub fn new(engine: &'b mut MapReduceJob<'a>) -> Self {
-        StreamingJob { engine }
-    }
-
-    /// Runs a streaming map-only job: `mapper` maps one input line to output
-    /// lines.
-    pub fn map_only(
-        &mut self,
-        cfg: &JobConfig,
+impl JobRun<String> {
+    /// Data plane of a streaming map-only job: `mapper` maps one input line
+    /// to output lines.
+    pub fn streaming_map_only(
+        cost: &CostModel,
         tasks: Vec<MapTask<String>>,
         mapper: impl Fn(&str) -> Vec<String> + Sync,
-    ) -> Result<StreamingOutcome, SimError> {
-        let cost = self.engine.cluster.cost.clone();
-        let outcome = self.engine.map_only(cfg, tasks, |line: &String, em| {
+    ) -> JobRun<String> {
+        let mut run = JobRun::map_only(tasks, |line: &String, em| {
             let in_bytes = line.len() as u64 + 1;
             let mut pipe_out = 0u64;
             for out in mapper(line) {
@@ -54,34 +36,21 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
             // stdin + stdout traffic of the external process, plus its own
             // text parse of the line.
             em.charge(cost.pipe_ns(in_bytes + pipe_out) + cost.parse_ns(in_bytes));
-        })?;
-        let mut trace = outcome.trace;
-        trace.pipe_bytes = ((outcome.stats.input_bytes + outcome.stats.output_bytes) as f64
-            * cfg.multiplier) as u64;
-        Ok(StreamingOutcome {
-            lines: outcome.output,
-            stats: outcome.stats,
-            trace,
-            recovery: outcome.recovery,
-        })
+        });
+        run.streaming = true;
+        run
     }
 
-    /// Runs a streaming map-reduce job. `mapper` emits `(key, value)` line
-    /// pairs; `reducer` consumes one key's sorted values.
-    ///
-    /// Fails with [`SimError::BrokenPipe`] when any single reduce task's
-    /// full-scale pipe payload exceeds the node's streaming limit.
-    pub fn map_reduce(
-        &mut self,
+    /// Data plane of a streaming map-reduce job. `mapper` emits
+    /// `(key, value)` line pairs; `reducer` consumes one key's sorted values.
+    pub fn streaming_map_reduce(
+        cost: &CostModel,
         cfg: &JobConfig,
         tasks: Vec<MapTask<String>>,
         mapper: impl Fn(&str) -> Vec<(String, String)> + Sync,
         reducer: impl Fn(&str, &[String]) -> Vec<String> + Sync,
-    ) -> Result<StreamingOutcome, SimError> {
-        let cost = self.engine.cluster.cost.clone();
-        let node_memory = self.engine.cluster.config.node.memory_bytes;
-        let outcome = self.engine.map_reduce(
-            cfg,
+    ) -> JobRun<String> {
+        let mut run = JobRun::map_reduce(
             tasks,
             |line: &String, em| {
                 let in_bytes = line.len() as u64 + 1;
@@ -110,17 +79,35 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
                     );
                 }
             },
-        )?;
+        );
+        run.streaming = true;
+        run
+    }
+}
 
-        // Broken-pipe check: each reduce group is piped through one external
-        // process (stdin: the group's records; stdout: its results); at full
-        // scale the payload is multiplier × bigger. A group's stdout volume
-        // equals its emitter byte count, which the engine records per group
-        // (key order) in `group_out_bytes`.
-        let limit = cost.streaming_pipe_limit(node_memory);
-        for (i, &gb) in outcome.group_bytes.iter().enumerate() {
-            let out = outcome.group_out_bytes.get(i).copied().unwrap_or(0);
-            let full = ((gb + out) as f64 * cfg.multiplier) as u64;
+impl<O> JobRun<O> {
+    /// Streaming pricing on top of the native job: pipe bytes, and the
+    /// broken-pipe gate.
+    ///
+    /// Each reduce group is piped through one external process (stdin: the
+    /// group's records; stdout: its results); at full scale the payload is
+    /// multiplier × bigger. Fails with [`SimError::BrokenPipe`] when any
+    /// group's full-scale payload exceeds the node's streaming limit.
+    pub(crate) fn price_pipes(
+        &self,
+        cluster: &Cluster,
+        cfg: &JobConfig,
+        trace: &mut StageTrace,
+    ) -> Result<(), SimError> {
+        let stats = &self.stats;
+        let Some(groups) = &self.reduces else {
+            trace.pipe_bytes =
+                ((stats.input_bytes + stats.output_bytes) as f64 * cfg.multiplier) as u64;
+            return Ok(());
+        };
+        let limit = cluster.cost.streaming_pipe_limit(cluster.config.node.memory_bytes);
+        for g in groups {
+            let full = ((g.input_bytes + g.out_bytes) as f64 * cfg.multiplier) as u64;
             if full > limit {
                 return Err(SimError::BrokenPipe {
                     // sjc-lint: allow(hot-alloc) — cold error return: allocates once, then the run is over
@@ -130,18 +117,46 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
                 });
             }
         }
-
-        let mut trace = outcome.trace;
-        trace.pipe_bytes = ((outcome.stats.input_bytes
-            + 2 * outcome.stats.shuffle_bytes
-            + outcome.stats.output_bytes) as f64
+        trace.pipe_bytes = ((stats.input_bytes + 2 * stats.shuffle_bytes + stats.output_bytes)
+            as f64
             * cfg.multiplier) as u64;
-        Ok(StreamingOutcome {
-            lines: outcome.output,
-            stats: outcome.stats,
-            trace,
-            recovery: outcome.recovery,
-        })
+        Ok(())
+    }
+}
+
+/// A streaming job runner on one cluster, borrowing the native engine.
+pub struct StreamingJob<'a, 'b> {
+    pub engine: &'b mut MapReduceJob<'a>,
+}
+
+impl<'a, 'b> StreamingJob<'a, 'b> {
+    pub fn new(engine: &'b mut MapReduceJob<'a>) -> Self {
+        StreamingJob { engine }
+    }
+
+    /// Runs a streaming map-only job (see [`JobRun::streaming_map_only`]).
+    pub fn map_only(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<String>>,
+        mapper: impl Fn(&str) -> Vec<String> + Sync,
+    ) -> Result<JobOutcome<String>, SimError> {
+        let run = JobRun::streaming_map_only(&self.engine.cluster.cost, tasks, mapper);
+        self.engine.price(cfg, run)
+    }
+
+    /// Runs a streaming map-reduce job (see
+    /// [`JobRun::streaming_map_reduce`]).
+    pub fn map_reduce(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<String>>,
+        mapper: impl Fn(&str) -> Vec<(String, String)> + Sync,
+        reducer: impl Fn(&str, &[String]) -> Vec<String> + Sync,
+    ) -> Result<JobOutcome<String>, SimError> {
+        let run =
+            JobRun::streaming_map_reduce(&self.engine.cluster.cost, cfg, tasks, mapper, reducer);
+        self.engine.price(cfg, run)
     }
 }
 
@@ -173,7 +188,7 @@ mod tests {
                 |k, vs| vec![format!("{k}\t{}", vs.len())],
             )
             .unwrap();
-        let mut got = out.lines.clone();
+        let mut got = out.output.clone();
         got.sort();
         assert_eq!(got, vec!["a\t3", "b\t2", "c\t1"]);
         assert!(out.trace.pipe_bytes > 0, "pipes are metered");
@@ -288,7 +303,7 @@ mod tests {
         let tasks = block_splits(&input, 16.0, 1 << 20);
         let cfg = JobConfig::new("convert", Phase::IndexA, 1.0);
         let out = job.map_only(&cfg, tasks, |l| vec![l.to_uppercase()]).unwrap();
-        assert_eq!(out.lines.len(), 100);
+        assert_eq!(out.output.len(), 100);
         assert!(out.trace.pipe_bytes > 0);
     }
 }

@@ -52,6 +52,7 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 mod pool;
 
@@ -135,9 +136,14 @@ impl Budget {
     }
 }
 
-/// Hardware parallelism with a serial fallback.
+/// Hardware parallelism with a serial fallback, read once per process:
+/// `available_parallelism` reads cgroup files on every call, which would
+/// otherwise dominate the cost of a small serial `par_map`.
+// sjc-lint: allow(cache-purity) — memoizes the host's core count, a process constant; it sizes the worker pool and never the results (pinned by the 1-vs-8-thread bit-identity tests)
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Work-claim cursor padded to a cache line so the hot atomic never false-

@@ -3,24 +3,30 @@
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{SimError, SimNs};
 
-use crate::context::SparkContext;
+use crate::context::{SparkContext, StageInput};
 use crate::record::SparkRecord;
 
 /// A partitioned, in-memory dataset.
 ///
 /// Narrow transformations (`map`, `flat_map`, `filter`, `sample`) run
 /// eagerly on the host but *pipeline* in the simulation: their cost
-/// accumulates in `pending_ns` per partition and only becomes a stage
-/// makespan when a wide operation or action closes the stage — exactly how
-/// Spark fuses narrow ops into one stage.
+/// accumulates in each lane's pending work per partition and only becomes a
+/// stage makespan when a wide operation or action closes the stage —
+/// exactly how Spark fuses narrow ops into one stage.
+///
+/// Lanes of a lockstep context load data into their own partition counts,
+/// so an RDD holds its records once per distinct [`Layout`], and each lane
+/// points at one. A shuffle partitions every lane alike and leaves a single
+/// layout. The accessors below read the first layout.
 pub struct Rdd<T> {
-    pub(crate) parts: Vec<Vec<T>>,
-    /// Full-scale pending CPU per partition since the last stage boundary.
-    pub(crate) pending_ns: Vec<SimNs>,
+    pub(crate) layouts: Vec<Layout<T>>,
+    /// Index into `layouts` of each lane, by lane id.
+    pub(crate) lane_layout: Vec<usize>,
+    /// Full-scale pending CPU per partition of each lane's layout since the
+    /// last stage boundary, by lane id.
+    pub(crate) pending: Vec<Vec<SimNs>>,
     /// Full-scale HDFS bytes read but not yet attributed to a stage.
     pub(crate) pending_hdfs_read: u64,
-    /// Full-scale modeled resident bytes per partition.
-    pub(crate) mem_full: Vec<u64>,
     pub(crate) multiplier: f64,
     /// Narrow-op chain length since the last materialization boundary
     /// (load or shuffle). Losing a cached partition to a node crash costs a
@@ -28,25 +34,60 @@ pub struct Rdd<T> {
     pub(crate) lineage_depth: u32,
 }
 
+/// One partitioning of an RDD's records.
+pub(crate) struct Layout<T> {
+    pub(crate) parts: Vec<Vec<T>>,
+    /// Full-scale modeled resident bytes per partition.
+    pub(crate) mem_full: Vec<u64>,
+}
+
+impl<T> Layout<T> {
+    pub(crate) fn mem_total(&self) -> u64 {
+        self.mem_full.iter().sum()
+    }
+}
+
+impl<T> Rdd<T> {
+    /// Lane `id`'s layout and pending work.
+    pub(crate) fn lane(&self, id: usize) -> (&Layout<T>, &[SimNs]) {
+        // sjc-lint: allow(no-panic-in-lib) — every RDD is built with one lane_layout and pending entry per lane of its context, each pointing into layouts
+        (&self.layouts[self.lane_layout[id]], &self.pending[id])
+    }
+
+    /// What lane `id` brings to an action's stage close.
+    pub(crate) fn action_input(&self, id: usize) -> StageInput {
+        let (layout, pending) = self.lane(id);
+        StageInput { pending: pending.to_vec(), shuffle_bytes: 0, resident: layout.mem_total() }
+    }
+
+    /// The first layout's partitions, flattened.
+    fn into_records(self) -> Vec<T> {
+        self.layouts
+            .into_iter()
+            .next()
+            .map_or_else(Vec::new, |l| l.parts.into_iter().flatten().collect())
+    }
+}
+
 impl<T: SparkRecord + Clone> Rdd<T> {
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.parts.len()
+        self.layouts.first().map_or(0, |l| l.parts.len())
     }
 
     /// Total records (generation scale).
     pub fn count(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
+        self.layouts.first().map_or(0, |l| l.parts.iter().map(Vec::len).sum())
     }
 
     /// Full-scale modeled resident footprint.
     pub fn mem_full_total(&self) -> u64 {
-        self.mem_full.iter().sum()
+        self.layouts.first().map_or(0, Layout::mem_total)
     }
 
     /// Per-partition full-scale footprints (for memory checks).
     pub fn mem_full(&self) -> &[u64] {
-        &self.mem_full
+        self.layouts.first().map_or(&[], |l| &l.mem_full)
     }
 
     pub fn multiplier(&self) -> f64 {
@@ -100,19 +141,19 @@ impl<T: SparkRecord + Clone> Rdd<T> {
     }
 
     /// Deterministic Bernoulli sample (Spark's `RDD.sample`): record `i` of
-    /// a partition survives when a seeded hash of its index falls below
+    /// the dataset survives when a seeded hash of its index falls below
     /// `fraction`.
     ///
     /// The serial implementation threaded one LCG counter through every
     /// record in partition order; to evaluate partitions in parallel with a
     /// bit-identical keep set, each partition jumps the counter ahead by the
-    /// number of records in all earlier partitions ([`lcg_jump`] is exact).
+    /// number of records in all earlier partitions ([`lcg_jump`] is exact),
+    /// which also makes the sample independent of the partitioning.
     pub fn sample(self, ctx: &SparkContext<'_>, fraction: f64, seed: u64) -> Rdd<T> {
         assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
         let threshold = (fraction * u64::MAX as f64) as u64;
-        let offsets = record_offsets(&self.parts);
-        self.transform_parts(ctx, move |i, src, _extra| {
-            let mut counter = lcg_jump(seed, offsets.get(i).copied().unwrap_or(0));
+        self.transform_parts(ctx, move |offset, src, _extra| {
+            let mut counter = lcg_jump(seed, offset);
             let mut out = Vec::new();
             for rec in src {
                 counter = lcg_step(counter);
@@ -141,57 +182,75 @@ impl<T: SparkRecord + Clone> Rdd<T> {
     }
 
     /// Partition-parallel core of every narrow op: partitions are
-    /// independent, so `op` runs on them concurrently (`sjc-par`,
-    /// order-preserving) and the per-partition pending-cost/memory vectors
-    /// are reassembled in partition order — bit-identical to the old serial
-    /// loop at every thread count. `op` receives the partition index so
-    /// sequence-dependent ops (`sample`) can jump their state exactly.
+    /// independent, so `op` runs on each layout's partitions concurrently
+    /// (`sjc-par`, order-preserving) and every lane's pending work grows by
+    /// its layout's per-partition cost at its own node speed — bit-identical
+    /// to a serial loop at every thread count. `op` receives the dataset
+    /// index of the partition's first record so sequence-dependent ops
+    /// (`sample`) can jump their state exactly.
     fn transform_parts<U: SparkRecord>(
         self,
         ctx: &SparkContext<'_>,
-        op: impl Fn(usize, &[T], &mut SimNs) -> Vec<U> + Sync,
+        op: impl Fn(u64, &[T], &mut SimNs) -> Vec<U> + Sync,
     ) -> Rdd<U> {
-        let cost = &ctx.cluster.cost;
-        let cpu_scale = ctx.cluster.config.node.cpu_scale;
+        let cost = ctx.cost();
         let mult = self.multiplier;
-        let depth = self.lineage_depth.saturating_add(1);
-        let indexed: Vec<(usize, Vec<T>, SimNs)> = self
-            .parts
-            .into_iter()
-            .zip(self.pending_ns)
-            .enumerate()
-            .map(|(i, (src, old))| (i, src, old))
+        // Per layout and partition: output, generation-scale CPU, and the
+        // output's full-scale footprint.
+        let ran: Vec<Vec<(Vec<U>, SimNs, u64)>> = self
+            .layouts
+            .iter()
+            .map(|layout| {
+                let indexed: Vec<(u64, &Vec<T>)> =
+                    record_offsets(&layout.parts).into_iter().zip(&layout.parts).collect();
+                // LPT dispatch: fat partitions first, so skewed spatial
+                // partitioning cannot serialize the tail; partition-order
+                // results are unchanged.
+                sjc_par::par_map_weighted(
+                    &indexed,
+                    |(_, src)| src.len() as u64,
+                    |&(offset, src)| {
+                        let mut extra: SimNs = 0;
+                        let out = op(offset, src, &mut extra);
+                        let ns = cost.spark_records_ns(src.len() as u64) + extra;
+                        let mem: u64 = out.iter().map(|r| r.mem_bytes(cost)).sum();
+                        (out, ns, (mem as f64 * mult) as u64)
+                    },
+                )
+            })
             .collect();
-        // LPT dispatch: fat partitions first, so skewed spatial partitioning
-        // cannot serialize the tail; partition-order results are unchanged.
-        let results: Vec<(Vec<U>, SimNs, u64)> = sjc_par::par_map_weighted(
-            &indexed,
-            |(_, src, _)| src.len() as u64,
-            |(i, src, old)| {
-                let mut extra: SimNs = 0;
-                let out = op(*i, src, &mut extra);
-                let ns = cost.spark_records_ns(src.len() as u64) + extra;
-                let ns = (ns as f64 * cpu_scale) as u64;
-                let pending = old + (ns as f64 * mult) as SimNs;
-                let mem: u64 = out.iter().map(|r| r.mem_bytes(cost)).sum();
-                (out, pending, (mem as f64 * mult) as u64)
-            },
-        );
-        let mut parts = Vec::with_capacity(results.len());
-        let mut pending = Vec::with_capacity(results.len());
-        let mut mem_full = Vec::with_capacity(results.len());
-        for (out, p, m) in results {
-            parts.push(out);
-            pending.push(p);
-            mem_full.push(m);
-        }
+        let pending = ctx
+            .lanes
+            .all()
+            .iter()
+            .zip(self.pending)
+            .zip(&self.lane_layout)
+            .map(|((lane, old), &li)| {
+                let cpu_scale = lane.cluster.config.node.cpu_scale;
+                let parts = ran.get(li).map(Vec::as_slice).unwrap_or_default();
+                old.iter()
+                    .zip(parts)
+                    .map(|(&p, &(_, ns, _))| {
+                        let ns = (ns as f64 * cpu_scale) as u64;
+                        p + (ns as f64 * mult) as SimNs
+                    })
+                    .collect()
+            })
+            .collect();
+        let layouts = ran
+            .into_iter()
+            .map(|parts| {
+                let (parts, mem_full) = parts.into_iter().map(|(out, _, mem)| (out, mem)).unzip();
+                Layout { parts, mem_full }
+            })
+            .collect();
         Rdd {
-            parts,
-            pending_ns: pending,
+            layouts,
+            lane_layout: self.lane_layout,
+            pending,
             pending_hdfs_read: self.pending_hdfs_read,
-            mem_full,
             multiplier: mult,
-            lineage_depth: depth,
+            lineage_depth: self.lineage_depth.saturating_add(1),
         }
     }
 
@@ -210,24 +269,36 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         seed: u64,
     ) -> Result<Vec<T>, SimError> {
         assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
-        let cost = &ctx.cluster.cost;
-        // Consume pending: the cache is warm after this action.
-        let cpu_scale = ctx.cluster.config.node.cpu_scale;
-        let mut pending = std::mem::replace(&mut self.pending_ns, vec![0; self.parts.len()]);
-        for (p, part) in pending.iter_mut().zip(&self.parts) {
-            *p += (cost.spark_records_ns(part.len() as u64) as f64 * cpu_scale * self.multiplier)
-                as SimNs;
-        }
+        let cost = ctx.cost().clone();
+        let mult = self.multiplier;
         let hdfs = std::mem::take(&mut self.pending_hdfs_read);
-        ctx.close_stage(name, phase, &pending, hdfs, 0, self.lineage_depth, self.mem_full_total())?;
+        let rdd = &*self;
+        ctx.close_stage(name, phase, hdfs, self.lineage_depth, |lane| {
+            let (layout, pending) = rdd.lane(lane.id);
+            let cpu_scale = lane.cluster.config.node.cpu_scale;
+            let pending = pending
+                .iter()
+                .zip(&layout.parts)
+                .map(|(&p, part)| {
+                    p + (cost.spark_records_ns(part.len() as u64) as f64 * cpu_scale * mult)
+                        as SimNs
+                })
+                .collect();
+            Ok(StageInput { pending, shuffle_bytes: 0, resident: layout.mem_total() })
+        })?;
+        // Consume pending: the cache is warm after this action.
+        for p in &mut self.pending {
+            p.fill(0);
+        }
 
         let threshold = (fraction * u64::MAX as f64) as u64;
-        let offsets = record_offsets(&self.parts);
-        let indexed: Vec<(usize, &Vec<T>)> = self.parts.iter().enumerate().collect();
-        let sampled: Vec<Vec<T>> = sjc_par::par_map(&indexed, |&(i, part)| {
-            // Same stream as the old serial scan: partition `i` resumes the
+        let Some(layout) = self.layouts.first() else { return Ok(Vec::new()) };
+        let indexed: Vec<(u64, &Vec<T>)> =
+            record_offsets(&layout.parts).into_iter().zip(&layout.parts).collect();
+        let sampled: Vec<Vec<T>> = sjc_par::par_map(&indexed, |&(offset, part)| {
+            // Same stream as the old serial scan: each partition resumes the
             // LCG where the previous partition left it (exact jump-ahead).
-            let mut state = lcg_jump(seed | 1, offsets.get(i).copied().unwrap_or(0));
+            let mut state = lcg_jump(seed | 1, offset);
             let mut kept = Vec::new();
             for rec in part {
                 state = lcg_step(state);
@@ -249,29 +320,29 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         name: &str,
         phase: Phase,
     ) -> Result<usize, SimError> {
-        let n = self.count();
-        ctx.close_stage(
-            name,
-            phase,
-            &self.pending_ns,
-            self.pending_hdfs_read,
-            0,
-            self.lineage_depth,
-            self.mem_full_total(),
-        )?;
-        Ok(n)
+        ctx.close_stage(name, phase, self.pending_hdfs_read, self.lineage_depth, |lane| {
+            Ok(self.action_input(lane.id))
+        })?;
+        Ok(self.count())
     }
 
-    /// Lazily concatenates two RDDs (Spark's `union`): partitions of both
-    /// parents side by side, no shuffle, no stage boundary.
+    /// Lazily concatenates two RDDs of one context (Spark's `union`):
+    /// partitions of both parents side by side, no shuffle, no stage
+    /// boundary.
     pub fn union(mut self, other: Rdd<T>) -> Rdd<T> {
         assert!(
             (self.multiplier - other.multiplier).abs() / self.multiplier.max(1e-12) < 0.5,
             "uniting RDDs with wildly different workload multipliers loses meaning"
         );
-        self.parts.extend(other.parts);
-        self.pending_ns.extend(other.pending_ns);
-        self.mem_full.extend(other.mem_full);
+        // Both parents come from one context, so their lanes group into
+        // layouts alike.
+        for (mine, theirs) in self.layouts.iter_mut().zip(other.layouts) {
+            mine.parts.extend(theirs.parts);
+            mine.mem_full.extend(theirs.mem_full);
+        }
+        for (mine, theirs) in self.pending.iter_mut().zip(other.pending) {
+            mine.extend(theirs);
+        }
         self.pending_hdfs_read += other.pending_hdfs_read;
         self.lineage_depth = self.lineage_depth.max(other.lineage_depth);
         self
@@ -284,36 +355,30 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         name: &str,
         phase: Phase,
     ) -> Result<Vec<T>, SimError> {
-        let pending = self.pending_ns.clone();
-        let resident = self.mem_full_total();
-        ctx.close_stage(
-            name,
-            phase,
-            &pending,
-            self.pending_hdfs_read,
-            0,
-            self.lineage_depth,
-            resident,
-        )?;
-        Ok(self.parts.into_iter().flatten().collect())
+        ctx.close_stage(name, phase, self.pending_hdfs_read, self.lineage_depth, |lane| {
+            Ok(self.action_input(lane.id))
+        })?;
+        Ok(self.into_records())
     }
-}
 
-impl<T: SparkRecord + Clone> Rdd<T> {
     /// Repartitions into `n` round-robin partitions (used by tests and the
-    /// broadcast-join variant to control parallelism).
+    /// broadcast-join variant to control parallelism). Every lane ends up
+    /// with the same partitions.
     pub fn repartition(self, ctx: &SparkContext<'_>, n: usize) -> Rdd<T> {
         let n = n.max(1);
-        let cost = &ctx.cluster.cost;
+        let cost = ctx.cost();
         let mult = self.multiplier;
+        let carried: Vec<Vec<SimNs>> =
+            self.pending.iter().map(|p| vec![p.iter().sum::<SimNs>() / n as u64; n]).collect();
+        let lanes = self.lane_layout.len();
+        let (hdfs, depth) = (self.pending_hdfs_read, self.lineage_depth);
         let mut parts: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        // sjc-lint: allow(serial-hot-loop) — round-robin scatter is a cheap move-only pass whose output order defines the partitioning
-        for (i, rec) in self.parts.into_iter().flatten().enumerate() {
+        // Round-robin scatter: a cheap move-only pass whose output order
+        // defines the partitioning.
+        for (i, rec) in self.into_records().into_iter().enumerate() {
             // sjc-lint: allow(no-panic-in-lib) — i % n < n = parts.len()
             parts[i % n].push(rec);
         }
-        let carried: SimNs = self.pending_ns.iter().sum::<SimNs>() / n.max(1) as u64;
-        let pending = vec![carried; n];
         let mem_full = parts
             .iter()
             .map(|p| {
@@ -322,12 +387,12 @@ impl<T: SparkRecord + Clone> Rdd<T> {
             })
             .collect();
         Rdd {
-            parts,
-            pending_ns: pending,
-            pending_hdfs_read: self.pending_hdfs_read,
-            mem_full,
+            layouts: vec![Layout { parts, mem_full }],
+            lane_layout: vec![0; lanes],
+            pending: carried,
+            pending_hdfs_read: hdfs,
             multiplier: mult,
-            lineage_depth: self.lineage_depth,
+            lineage_depth: depth,
         }
     }
 }
@@ -411,7 +476,7 @@ mod tests {
         // 0..100 doubled → 0,2,..198; keep multiples of 4 → 50 values; ×2.
         assert_eq!(out.len(), 100);
         assert!(out.contains(&0) && out.contains(&1) && out.contains(&196) && out.contains(&197));
-        assert_eq!(ctx.trace.stages.len(), 1, "narrow ops fused into one stage");
+        assert_eq!(ctx.trace().stages.len(), 1, "narrow ops fused into one stage");
     }
 
     #[test]
@@ -438,12 +503,12 @@ mod tests {
         let cluster = ctx_cluster();
         let mut ctx = SparkContext::new(&cluster);
         let rdd = ctx.read_text((0u64..1000).collect(), 40_000, 1.0);
-        let after_load: SimNs = rdd.pending_ns.iter().sum();
+        let after_load: SimNs = rdd.pending[0].iter().sum();
         let mapped = rdd.map(&ctx, |x, extra| {
             *extra += 100;
             x + 1
         });
-        let after_map: SimNs = mapped.pending_ns.iter().sum();
+        let after_map: SimNs = mapped.pending[0].iter().sum();
         assert!(after_map > after_load);
     }
 
@@ -486,7 +551,7 @@ mod tests {
             .count_action(&mut ctx, "count", Phase::IndexA)
             .unwrap();
         assert_eq!(n, 617);
-        assert_eq!(ctx.trace.stages.len(), 1);
+        assert_eq!(ctx.trace().stages.len(), 1);
     }
 
     #[test]
@@ -495,9 +560,9 @@ mod tests {
         let mut ctx = SparkContext::new(&cluster);
         let a = ctx.read_text((0u64..10).collect(), 400, 1.0);
         let b = ctx.read_text((100u64..110).collect(), 400, 1.0);
-        let stages_before = ctx.trace.stages.len();
+        let stages_before = ctx.trace().stages.len();
         let u = a.union(b);
-        assert_eq!(ctx.trace.stages.len(), stages_before, "union is lazy");
+        assert_eq!(ctx.trace().stages.len(), stages_before, "union is lazy");
         let mut all = u.collect(&mut ctx, "c", Phase::IndexA).unwrap();
         all.sort_unstable();
         let expected: Vec<u64> = (0..10).chain(100..110).collect();

@@ -3,26 +3,67 @@
 //! These close a stage (turning pipelined pending cost into a makespan),
 //! move bytes through memory/network rather than HDFS, and are where the
 //! engine enforces executor memory: Spark 1.1's `groupByKey` materializes
-//! every group on its target executor with no spill path.
+//! every group on its target executor with no spill path. The grouping
+//! itself runs once; each lane prices the shuffle write from its own
+//! partitions and gates on its own executors' memory.
 
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::SimError;
+use sjc_cluster::{Cluster, SimError, SimNs};
 
-use crate::context::SparkContext;
+use crate::context::{SparkContext, StageInput};
 use crate::memory::check_fits;
-use crate::rdd::Rdd;
+use crate::rdd::{Layout, Rdd};
 use crate::record::{SparkKey, SparkRecord};
 
 fn hash_of<K: SparkKey>(k: &K) -> u64 {
     k.partition_hash()
 }
 
+/// Shuffle-write cost of one map-side partition of `mem` full-scale
+/// resident bytes on `cluster`: serialize and spill to the *local disk*
+/// (Spark 1.x materializes shuffle blocks on disk even for in-memory jobs),
+/// plus the cross-node network share.
+fn spill_ns(cluster: &Cluster, mem: u64) -> SimNs {
+    let cost = &cluster.cost;
+    let node = &cluster.config.node;
+    let nodes = cluster.config.nodes;
+    let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
+    let ser = (mem as f64 * cost.spark_shuffle_ser_fraction) as u64;
+    (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
+        + cost.io_ns(ser, node.slot_disk_write_bw())
+        + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw())
+}
+
+/// Shuffle-read cost of every reduce-side partition on `cluster`: fetch the
+/// serialized blocks from disk and deserialize `records` (generation
+/// scale) back into JVM objects.
+fn fetch_ns(cluster: &Cluster, mem_full: &[u64], records: &[u64], mult: f64) -> Vec<SimNs> {
+    let cost = &cluster.cost;
+    let node = &cluster.config.node;
+    mem_full
+        .iter()
+        .zip(records)
+        .map(|(&mem_f, &records)| {
+            let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
+            let cpu =
+                cost.serialize_ns(ser) + cost.spark_records_ns((records as f64 * mult) as u64);
+            cost.io_ns(ser, node.slot_disk_read_bw()) + (cpu as f64 * node.cpu_scale) as u64
+        })
+        .collect()
+}
+
+/// One lane's pending work plus the shuffle write of its partitions.
+fn with_spill<T>(cluster: &Cluster, layout: &Layout<T>, pending: &[SimNs]) -> Vec<SimNs> {
+    pending.iter().zip(&layout.mem_full).map(|(&p, &m)| p + spill_ns(cluster, m)).collect()
+}
+
 /// Groups one join side's `(key, value)` partitions into a single map:
 /// partition-local maps build in parallel and merge in partition order, so
-/// each key's value order is identical to a serial flattened scan.
+/// each key's value order is identical to a serial flattened scan — and
+/// independent of how the records are partitioned.
 fn build_side<P, K, V>(parts: &[Vec<P>], kv: impl Fn(&P) -> (&K, &V) + Sync) -> BTreeMap<K, Vec<V>>
 where
     P: Send + Sync,
@@ -53,6 +94,16 @@ where
     merged
 }
 
+/// The first layout's partitions (every layout holds the same records in
+/// the same order).
+fn first_parts<T>(rdd: &Rdd<T>) -> &[Vec<T>] {
+    rdd.layouts.first().map_or(&[], |l| l.parts.as_slice())
+}
+
+/// One layout's `reduce_by_key`: each map partition's (records, combined
+/// full-scale bytes), the reduced partitions, and their read-side work.
+type Reduced<K, V> = (Vec<(u64, u64)>, Layout<(K, V)>, Vec<SimNs>);
+
 /// Result of [`Rdd::join`]: per key, one output record per matching
 /// value pair.
 pub type JoinResult<K, A, B> = Result<Rdd<(K, (A, B))>, SimError>;
@@ -72,44 +123,10 @@ where
         num_partitions: usize,
     ) -> Result<Rdd<(K, Vec<V>)>, SimError> {
         let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
         let mult = self.multiplier;
 
-        // Real shuffle: group deterministically. Each map task groups its
-        // own partition in parallel; the locals merge in partition order, so
-        // every key's value order (partition-major, then record order) is
-        // identical to the old single-threaded scan.
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        let inputs: Vec<(&Vec<(K, V)>, u64)> =
-            self.parts.iter().zip(self.mem_full.iter().copied()).collect();
-        let locals: Vec<(u64, BTreeMap<K, Vec<V>>)> =
-            sjc_par::par_map(&inputs, |&(part, part_mem)| {
-                // Shuffle-write side: serialize and spill to the *local disk*
-                // (Spark 1.x materializes shuffle blocks on disk even for
-                // in-memory jobs), plus the cross-node network share.
-                let ser = (part_mem as f64 * cost.spark_shuffle_ser_fraction) as u64;
-                let cpu = (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64;
-                let mut ns = cpu + cost.io_ns(ser, node.slot_disk_write_bw());
-                ns += cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw());
-                let mut local: BTreeMap<K, Vec<V>> = BTreeMap::new();
-                for (k, v) in part {
-                    // sjc-lint: allow(hot-alloc) — the grouped output owns its keys/values: the clone materializes the result
-                    local.entry(k.clone()).or_default().push(v.clone());
-                }
-                (ns, local)
-            });
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        let mut write_pending = self.pending_ns.clone();
-        for (wp, (ns, local)) in write_pending.iter_mut().zip(locals) {
-            *wp += ns;
-            for (k, vs) in local {
-                groups.entry(k).or_default().extend(vs);
-            }
-        }
-
-        // Build output partitions.
+        // Real shuffle: group deterministically, once for every lane.
+        let groups = build_side(first_parts(&self), |(k, v)| (k, v));
         let mut parts: Vec<Vec<(K, Vec<V>)>> = (0..p).map(|_| Vec::new()).collect();
         // sjc-lint: allow(serial-hot-loop) — hash-partition scatter must run in key order; the grouping work already ran in parallel above
         for (k, vs) in groups {
@@ -117,66 +134,51 @@ where
             // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
             parts[idx].push((k, vs));
         }
-
-        let costs: Vec<(u64, u64)> = sjc_par::par_map(&parts, |part| {
+        let cost = ctx.cost().clone();
+        let sizes: Vec<(u64, u64)> = sjc_par::par_map(&parts, |part| {
             let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            let mem_f = (mem as f64 * mult) as u64;
             let records: u64 = part.iter().map(|(_, vs)| vs.len() as u64).sum();
-            // Shuffle-read side: fetch the serialized blocks from disk and
-            // deserialize them back into JVM objects.
-            let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let mut ns = cost.io_ns(ser, node.slot_disk_read_bw());
-            let cpu =
-                cost.serialize_ns(ser) + cost.spark_records_ns((records as f64 * mult) as u64);
-            ns += (cpu as f64 * node.cpu_scale) as u64;
-            (mem_f, ns)
+            ((mem as f64 * mult) as u64, records)
         });
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        for (mem_f, ns) in costs {
-            mem_full.push(mem_f);
-            read_pending.push(ns);
-        }
-
-        // Memory check: shuffle input and materialized groups are live
-        // simultaneously.
-        check_fits(ctx.cluster, name, &[&self.mem_full, &mem_full])?;
+        let (mem_full, records): (Vec<u64>, Vec<u64>) = sizes.into_iter().unzip();
+        let resident: u64 = mem_full.iter().sum();
 
         // Close the map-side stage (pending narrow work + shuffle write).
-        let shuffle_bytes: u64 = self.mem_full.iter().sum();
-        ctx.close_stage(
-            name,
-            phase,
-            &write_pending,
-            self.pending_hdfs_read,
-            shuffle_bytes,
-            self.lineage_depth,
-            mem_full.iter().sum(),
-        )?;
+        // Memory check: shuffle input and materialized groups are live
+        // simultaneously.
+        ctx.close_stage(name, phase, self.pending_hdfs_read, self.lineage_depth, |lane| {
+            let (layout, pending) = self.lane(lane.id);
+            check_fits(lane.cluster, name, &[&layout.mem_full, &mem_full])?;
+            let pending = with_spill(lane.cluster, layout, pending);
+            Ok(StageInput { pending, shuffle_bytes: layout.mem_total(), resident })
+        })?;
 
         // A shuffle materializes its output; recompute scope restarts here.
+        let pending = ctx
+            .lanes
+            .all()
+            .iter()
+            .map(|l| fetch_ns(l.cluster, &mem_full, &records, mult))
+            .collect();
         Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
+            layouts: vec![Layout { parts, mem_full }],
+            lane_layout: vec![0; self.lane_layout.len()],
+            pending,
             pending_hdfs_read: 0,
-            mem_full,
             multiplier: mult,
             lineage_depth: 1,
         })
     }
-}
 
-impl<K, V> Rdd<(K, V)>
-where
-    K: SparkRecord + SparkKey + Ord + Hash + Clone,
-    V: SparkRecord + Clone,
-{
     /// `reduceByKey`: folds same-key values with `f`, combining **map-side
     /// first** so only one value per (task, key) is shuffled — the reason
     /// Spark lore says "use reduceByKey, not groupByKey". The spatial join
     /// cannot use it (the local join needs the full record lists), which is
     /// precisely why SpatialSpark's groupByKey OOMs where an aggregation
     /// would not; the `rdd_extra_ops` tests demonstrate the difference.
+    ///
+    /// The combine runs per map partition, so each layout reduces its own
+    /// partitions and keeps its own output.
     pub fn reduce_by_key(
         self,
         ctx: &mut SparkContext<'_>,
@@ -186,99 +188,104 @@ where
         f: impl Fn(&V, &V) -> V + Sync,
     ) -> Result<Rdd<(K, V)>, SimError> {
         let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
+        let cost = ctx.cost().clone();
         let mult = self.multiplier;
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
 
-        // Map-side combine: each task's partition is independent, so the
-        // combines run in parallel and the results land back in task order.
-        let combined: Vec<(u64, BTreeMap<K, V>)> = sjc_par::par_map(&self.parts, |part| {
-            let mut local: BTreeMap<K, V> = BTreeMap::new();
-            for (k, v) in part {
-                match local.get_mut(k) {
-                    Some(acc) => *acc = f(acc, v),
-                    None => {
-                        // sjc-lint: allow(hot-alloc) — first sight of a key: the combiner map must own it; every later record folds in place
-                        local.insert(k.clone(), v.clone());
+        // Per layout: map-side combine per partition, the combined
+        // partitions' full-scale shuffle footprint, and the reduced output.
+        let reduced: Vec<Reduced<K, V>> = self
+            .layouts
+            .iter()
+            .map(|layout| {
+                // Each task's partition is independent, so the combines run in
+                // parallel and the results land back in task order.
+                let combined: Vec<(u64, u64, BTreeMap<K, V>)> =
+                    sjc_par::par_map(&layout.parts, |part| {
+                        let mut local: BTreeMap<K, V> = BTreeMap::new();
+                        for (k, v) in part {
+                            match local.get_mut(k) {
+                                Some(acc) => *acc = f(acc, v),
+                                None => {
+                                    // sjc-lint: allow(hot-alloc) — first sight of a key: the combiner map must own it; every later record folds in place
+                                    local.insert(k.clone(), v.clone());
+                                }
+                            }
+                        }
+                        // Shuffle write: only the combined values leave the task.
+                        let combined_mem: u64 = local
+                            .iter()
+                            .map(|r| {
+                                let pair_ref: (&K, &V) = r;
+                                24 + pair_ref.0.mem_bytes(&cost) + pair_ref.1.mem_bytes(&cost)
+                            })
+                            .sum();
+                        // conservative: scale by density
+                        let combined_full = (combined_mem as f64 * mult / part.len().max(1) as f64
+                            * local.len() as f64)
+                            as u64;
+                        (part.len() as u64, combined_full, local)
+                    });
+                let mut spills = Vec::with_capacity(combined.len());
+                let mut merged: BTreeMap<K, V> = BTreeMap::new();
+                for (len, combined_full, local) in combined {
+                    spills.push((len, combined_full));
+                    for (k, v) in local {
+                        match merged.get_mut(&k) {
+                            Some(acc) => *acc = f(acc, &v),
+                            None => {
+                                merged.insert(k, v);
+                            }
+                        }
                     }
                 }
-            }
-            // Combine cost: one pass over the partition's records.
-            let combine_cpu =
-                (cost.spark_records_ns(part.len() as u64) as f64 * node.cpu_scale * mult) as u64;
-            // Shuffle write: only the combined values leave the task.
-            let combined_mem: u64 = local
-                .iter()
-                .map(|r| {
-                    let pair_ref: (&K, &V) = r;
-                    24 + pair_ref.0.mem_bytes(&cost) + pair_ref.1.mem_bytes(&cost)
+                let mut parts: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
+                for (k, v) in merged {
+                    let idx = (hash_of(&k) % p as u64) as usize;
+                    // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
+                    parts[idx].push((k, v));
+                }
+                // Combined results are one value per key: modeled at
+                // generation scale directly (keys don't multiply with the
+                // workload).
+                let (mem_full, read): (Vec<u64>, Vec<SimNs>) = sjc_par::par_map(&parts, |part| {
+                    let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
+                    (mem, cost.spark_records_ns(part.len() as u64))
                 })
-                .sum();
-            let combined_full =
-                (combined_mem as f64 * mult / part.len().max(1) as f64 * local.len() as f64) as u64; // conservative: scale by density
-            let ser = (combined_full as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let ns = combine_cpu
-                + (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
-                + cost.io_ns(ser, node.slot_disk_write_bw())
-                + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw());
-            (ns, local)
-        });
-        let mut write_pending = self.pending_ns.clone();
-        let mut combined_parts: Vec<BTreeMap<K, V>> = Vec::with_capacity(self.parts.len());
-        for (wp, (ns, local)) in write_pending.iter_mut().zip(combined) {
-            *wp += ns;
-            combined_parts.push(local);
-        }
+                .into_iter()
+                .unzip();
+                (spills, Layout { parts, mem_full }, read)
+            })
+            .collect();
 
-        // Merge combined values across tasks.
-        let mut merged: BTreeMap<K, V> = BTreeMap::new();
-        for local in combined_parts {
-            for (k, v) in local {
-                match merged.get_mut(&k) {
-                    Some(acc) => *acc = f(acc, &v),
-                    None => {
-                        merged.insert(k, v);
-                    }
-                }
-            }
-        }
-        let mut parts: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
-        for (k, v) in merged {
-            let idx = (hash_of(&k) % p as u64) as usize;
-            // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
-            parts[idx].push((k, v));
-        }
+        ctx.close_stage(name, phase, self.pending_hdfs_read, self.lineage_depth, |lane| {
+            let (input, pending) = self.lane(lane.id);
+            // sjc-lint: allow(no-panic-in-lib) — `reduced` holds one entry per layout, and lane_layout points into layouts
+            let (spills, out, _) = &reduced[self.lane_layout[lane.id]];
+            check_fits(lane.cluster, name, &[&input.mem_full, &out.mem_full])?;
+            let cpu_scale = lane.cluster.config.node.cpu_scale;
+            // Combine cost: one pass over the partition's records.
+            let pending = pending
+                .iter()
+                .zip(spills)
+                .map(|(&p, &(len, combined_full))| {
+                    let combine_cpu = (cost.spark_records_ns(len) as f64 * cpu_scale * mult) as u64;
+                    p + combine_cpu + spill_ns(lane.cluster, combined_full)
+                })
+                .collect();
+            let shuffle_bytes = out.mem_total();
+            Ok(StageInput { pending, shuffle_bytes, resident: shuffle_bytes })
+        })?;
 
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        // Combined results are one value per key: modeled at generation
-        // scale directly (keys don't multiply with the workload).
-        for (mem, ns) in sjc_par::par_map(&parts, |part| {
-            let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            (mem, cost.spark_records_ns(part.len() as u64))
-        }) {
-            mem_full.push(mem);
-            read_pending.push(ns);
-        }
-        check_fits(ctx.cluster, name, &[&self.mem_full, &mem_full])?;
-        let shuffle_bytes: u64 = mem_full.iter().sum();
-        ctx.close_stage(
-            name,
-            phase,
-            &write_pending,
-            self.pending_hdfs_read,
-            shuffle_bytes,
-            self.lineage_depth,
-            shuffle_bytes,
-        )?;
-
+        let pending = self
+            .lane_layout
+            .iter()
+            .map(|&li| reduced.get(li).map_or_else(Vec::new, |(_, _, read)| read.clone()))
+            .collect();
         Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
+            layouts: reduced.into_iter().map(|(_, layout, _)| layout).collect(),
+            lane_layout: self.lane_layout,
+            pending,
             pending_hdfs_read: 0,
-            mem_full,
             multiplier: mult,
             lineage_depth: 1,
         })
@@ -304,35 +311,13 @@ where
         B: SparkRecord + Clone,
     {
         let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
         let mult = self.multiplier;
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-
-        // Close both input stages with their shuffle-write costs.
-        let spill = |m: u64| {
-            let ser = (m as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
-                + cost.io_ns(ser, node.slot_disk_write_bw())
-                + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw())
-        };
-        let mut left_pending = self.pending_ns.clone();
-        for (i, &m) in self.mem_full.iter().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — pending_ns and mem_full are kept parallel to parts
-            left_pending[i] += spill(m);
-        }
-        let mut right_pending = other.pending_ns.clone();
-        for (i, &m) in other.mem_full.iter().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — pending_ns and mem_full are kept parallel to parts
-            right_pending[i] += spill(m);
-        }
 
         // Hash-table builds: both sides group per partition in parallel and
         // merge in partition order (value order matches the serial flatten).
         let (left, right) = sjc_par::join(
-            || build_side(&self.parts, |(k, a)| (k, a)),
-            || build_side(&other.parts, |(k, b)| (k, b)),
+            || build_side(first_parts(&self), |(k, a)| (k, a)),
+            || build_side(first_parts(&other), |(k, b)| (k, b)),
         );
 
         // Cartesian products per matching key run in parallel; the scatter
@@ -368,44 +353,37 @@ where
             parts[idx].extend(recs);
         }
 
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        for (mem_f, ns) in sjc_par::par_map(&parts, |part| {
+        let cost = ctx.cost().clone();
+        let sizes: Vec<(u64, u64)> = sjc_par::par_map(&parts, |part| {
             let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            let mem_f = (mem as f64 * mult) as u64;
-            let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let cpu =
-                cost.serialize_ns(ser) + cost.spark_records_ns((part.len() as f64 * mult) as u64);
-            let ns =
-                cost.io_ns(ser, node.slot_disk_read_bw()) + (cpu as f64 * node.cpu_scale) as u64;
-            (mem_f, ns)
-        }) {
-            mem_full.push(mem_f);
-            read_pending.push(ns);
-        }
+            ((mem as f64 * mult) as u64, part.len() as u64)
+        });
+        let (mem_full, records): (Vec<u64>, Vec<u64>) = sizes.into_iter().unzip();
+        let resident: u64 = mem_full.iter().sum();
 
-        check_fits(ctx.cluster, name, &[&self.mem_full, &other.mem_full, &mem_full])?;
-
-        let shuffle_bytes: u64 =
-            self.mem_full.iter().sum::<u64>() + other.mem_full.iter().sum::<u64>();
+        // Close both input stages with their shuffle-write costs.
         let hdfs = self.pending_hdfs_read + other.pending_hdfs_read;
-        let mut all_pending = left_pending;
-        all_pending.extend(right_pending);
-        ctx.close_stage(
-            name,
-            phase,
-            &all_pending,
-            hdfs,
-            shuffle_bytes,
-            self.lineage_depth.max(other.lineage_depth),
-            mem_full.iter().sum(),
-        )?;
+        let depth = self.lineage_depth.max(other.lineage_depth);
+        ctx.close_stage(name, phase, hdfs, depth, |lane| {
+            let (l, lp) = self.lane(lane.id);
+            let (r, rp) = other.lane(lane.id);
+            check_fits(lane.cluster, name, &[&l.mem_full, &r.mem_full, &mem_full])?;
+            let mut pending = with_spill(lane.cluster, l, lp);
+            pending.extend(with_spill(lane.cluster, r, rp));
+            Ok(StageInput { pending, shuffle_bytes: l.mem_total() + r.mem_total(), resident })
+        })?;
 
+        let pending = ctx
+            .lanes
+            .all()
+            .iter()
+            .map(|l| fetch_ns(l.cluster, &mem_full, &records, mult))
+            .collect();
         Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
+            layouts: vec![Layout { parts, mem_full }],
+            lane_layout: vec![0; self.lane_layout.len()],
+            pending,
             pending_hdfs_read: 0,
-            mem_full,
             multiplier: mult,
             lineage_depth: 1,
         })
@@ -456,7 +434,7 @@ mod tests {
         ctx.read_text(pairs, 40_000, 1.0)
             .group_by_key(&mut ctx, "g", Phase::DistributedJoin, 8)
             .unwrap();
-        let stage = &ctx.trace.stages[0];
+        let stage = &ctx.trace().stages[0];
         assert!(stage.shuffle_bytes > 0);
         assert_eq!(stage.hdfs_bytes_written, 0, "Spark never writes intermediates to HDFS");
         assert!(stage.hdfs_bytes_read > 0, "the initial load is attributed here");
