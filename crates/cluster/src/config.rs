@@ -109,16 +109,6 @@ impl ClusterConfig {
     pub fn aggregate_disk_read_bw(&self) -> f64 {
         self.nodes as f64 * self.node.disk_read_bw
     }
-
-    /// Aggregate disk write bandwidth across nodes.
-    pub fn aggregate_disk_write_bw(&self) -> f64 {
-        self.nodes as f64 * self.node.disk_write_bw
-    }
-
-    /// Aggregate network bandwidth across nodes.
-    pub fn aggregate_net_bw(&self) -> f64 {
-        self.nodes as f64 * self.node.net_bw
-    }
 }
 
 #[cfg(test)]

@@ -330,15 +330,6 @@ impl FaultPlan {
         dead
     }
 
-    /// Fraction of the cluster's nodes dead at `t` (0 when the plan is not
-    /// bound to a cluster).
-    pub fn dead_fraction_at(&self, t: SimNs) -> f64 {
-        if self.nodes == 0 {
-            return 0.0;
-        }
-        self.dead_nodes_at(t).len() as f64 / self.nodes as f64
-    }
-
     /// Whether attempt `attempt` of `task` in the stage tagged `tag`
     /// suffers a transient disk-read error. Pure in all arguments.
     pub fn disk_error(&self, tag: u64, task: u64, attempt: u32) -> bool {
@@ -481,7 +472,6 @@ mod tests {
         assert!(p.dead_nodes_at(99).is_empty());
         assert_eq!(p.dead_nodes_at(100), vec![4]);
         assert_eq!(p.dead_nodes_at(500), vec![4, 7]);
-        assert!((p.dead_fraction_at(500) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -165,27 +165,12 @@ impl SimHdfs {
         Ok((f, ledger))
     }
 
-    /// Metadata lookup without charging a read (namenode RPC only).
-    pub fn stat(&self, name: &str) -> Option<&DfsFile> {
-        self.files.get(name)
-    }
-
     pub fn exists(&self, name: &str) -> bool {
         self.files.contains_key(name)
     }
 
     pub fn delete(&mut self, name: &str) -> bool {
         self.files.remove(name).is_some()
-    }
-
-    /// Number of files currently stored.
-    pub fn num_files(&self) -> usize {
-        self.files.len()
-    }
-
-    /// All file names (deterministic order).
-    pub fn list(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
     }
 }
 
@@ -278,9 +263,9 @@ mod tests {
         let mut fs = SimHdfs::new(1);
         fs.write_file("f", 100, 1);
         fs.write_file("f", 50, 2);
-        assert_eq!(fs.stat("f").unwrap().bytes, 50);
+        assert_eq!(fs.read_file("f").unwrap().bytes, 50);
         assert!(fs.delete("f"));
         assert!(!fs.delete("f"));
-        assert_eq!(fs.num_files(), 0);
+        assert!(!fs.exists("f"));
     }
 }

@@ -85,11 +85,6 @@ impl Cluster {
         (self.config.nodes * self.config.node.cores) as usize
     }
 
-    /// Aggregate cluster memory in bytes.
-    pub fn total_memory(&self) -> u64 {
-        self.config.nodes as u64 * self.config.node.memory_bytes
-    }
-
     /// Makespan of running `task_ns` durations on this cluster's slots.
     pub fn makespan(&self, task_ns: &[SimNs]) -> SimNs {
         scheduler::lpt_makespan(task_ns, self.total_slots())
@@ -104,11 +99,9 @@ mod tests {
     fn presets_expose_resources() {
         let ws = Cluster::new(ClusterConfig::workstation());
         assert_eq!(ws.total_slots(), 16);
-        assert_eq!(ws.total_memory(), 128 * (1 << 30));
 
         let ec2 = Cluster::new(ClusterConfig::ec2(10));
         assert_eq!(ec2.total_slots(), 80);
-        assert_eq!(ec2.total_memory(), 150 * (1 << 30));
     }
 
     #[test]

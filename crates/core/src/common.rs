@@ -79,7 +79,7 @@ pub fn local_join(
 
     // Refinement with exact geometry; de-dup decides which partition
     // reports the pair. Above a threshold the candidate list is refined in
-    // parallel — per-pair work is pure, `par::par_map` preserves input
+    // parallel — per-pair work is pure, `sjc_par::par_map` preserves input
     // order, and the summed costs are exact integer adds, so results and
     // simulated time stay bit-identical to the serial path.
     const PAR_THRESHOLD: usize = 4096;
@@ -97,7 +97,7 @@ pub fn local_join(
         }
     };
     let refined: Vec<Refined> = if pairs.len() >= PAR_THRESHOLD {
-        crate::par::par_map(&pairs, refine_one)
+        sjc_par::par_map(&pairs, refine_one)
     } else {
         pairs.iter().map(refine_one).collect()
     };

@@ -212,32 +212,8 @@ impl ExperimentGrid {
         )
     }
 
-    /// Table 2 under per-config fault plans: `plan_for` derives the plan
-    /// from each cluster configuration (plans are sized by node count, so
-    /// they cannot be shared across configs). Used by the fault-sweep bench.
-    pub fn table2_faulted(
-        &self,
-        plan_for: &(dyn Fn(&ClusterConfig) -> FaultPlan + Sync),
-    ) -> Vec<CellResult> {
-        self.run_grid_faulted(
-            &[Workload::taxi_nycb(), Workload::edge_linearwater()],
-            &ClusterConfig::paper_configs(),
-            plan_for,
-        )
-    }
-
     fn run_grid(&self, workloads: &[Workload], configs: &[ClusterConfig]) -> Vec<CellResult> {
-        self.run_grid_faulted(workloads, configs, &|_| FaultPlan::none())
-    }
-
-    fn run_grid_faulted(
-        &self,
-        workloads: &[Workload],
-        configs: &[ClusterConfig],
-        plan_for: &(dyn Fn(&ClusterConfig) -> FaultPlan + Sync),
-    ) -> Vec<CellResult> {
-        let clusters: Vec<Cluster> =
-            configs.iter().map(|cfg| Cluster::with_faults(cfg.clone(), plan_for(cfg))).collect();
+        let clusters: Vec<Cluster> = configs.iter().map(|cfg| Cluster::new(cfg.clone())).collect();
         let mut out = Vec::new();
         for w in workloads {
             let (left, right) = w.prepare(self.scale, self.seed);

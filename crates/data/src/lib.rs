@@ -23,7 +23,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod census;
-pub mod io;
 pub mod profile;
 pub mod rng;
 pub mod taxi;

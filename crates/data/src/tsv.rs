@@ -46,12 +46,6 @@ pub fn parse_tsv_line(line: &str) -> Result<(u64, Geometry), TsvError> {
     Ok((id, geom))
 }
 
-/// Total byte size of a batch of lines (newline included) — the exact
-/// volume a streaming stage pipes.
-pub fn lines_bytes(lines: &[String]) -> u64 {
-    lines.iter().map(|l| l.len() as u64 + 1).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +80,5 @@ mod tests {
             parse_tsv_line("1\tPOINT (1e999 0)"),
             Err(TsvError::BadWkt(WktError::NonFinite("1e999".into())))
         );
-    }
-
-    #[test]
-    fn byte_accounting_includes_newlines() {
-        let lines = vec!["ab".to_string(), "c".to_string()];
-        assert_eq!(lines_bytes(&lines), 2 + 1 + 1 + 1);
     }
 }

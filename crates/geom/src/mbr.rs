@@ -35,17 +35,22 @@ impl Mbr {
     }
 
     /// Runtime invariant sanitizer (feature `sanitize`): a corrupt MBR is one
-    /// carrying a NaN bound — inverted bounds are the legitimate empty
-    /// encoding, but NaN poisons every comparison silently.
+    /// carrying a NaN bound, or a non-empty one with an infinite bound —
+    /// inverted bounds (including the infinite [`Mbr::empty`]) are the
+    /// legitimate empty encoding, but NaN poisons every comparison silently
+    /// and an infinite extent breaks every area, center and grid-cell
+    /// computation downstream.
     #[cfg(feature = "sanitize")]
     #[inline]
     pub fn sanitize_check(&self) {
+        let bounds = [self.min_x, self.min_y, self.max_x, self.max_y];
         debug_assert!(
-            !(self.min_x.is_nan()
-                || self.min_y.is_nan()
-                || self.max_x.is_nan()
-                || self.max_y.is_nan()),
+            !bounds.iter().any(|b| b.is_nan()),
             "sanitize: MBR with NaN bounds: {self:?}"
+        );
+        debug_assert!(
+            self.is_empty() || bounds.iter().all(|b| b.is_finite()),
+            "sanitize: non-empty MBR with infinite bounds: {self:?}"
         );
     }
 

@@ -33,7 +33,7 @@ use crate::{Severity, Violation};
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Escapes `s` as a JSON string body.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{parse_value, Value};
+use crate::json::{escape, parse_value, Value};
 use crate::{Rule, Severity, Violation};
 
 const SCHEMA_URI: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -35,25 +35,6 @@ fn level(sev: Severity) -> &'static str {
         Severity::Error => "error",
         Severity::Warning => "warning",
     }
-}
-
-/// JSON string escaping (same contract as the json module's emitter).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the violations as a single-run SARIF 2.1.0 document.

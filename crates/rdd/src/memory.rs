@@ -31,9 +31,6 @@ pub fn per_executor_bytes(part_mem_full: &[u64], nodes: usize) -> Vec<u64> {
 ///
 /// `live_rdds` are per-partition full-scale footprints of every dataset that
 /// must be resident simultaneously during the materialization.
-///
-/// Setting `SJC_MEM_DEBUG=1` prints every check's totals (used when
-/// calibrating the footprint constants against Table 2).
 pub fn check_fits(cluster: &Cluster, stage: &str, live_rdds: &[&[u64]]) -> Result<(), SimError> {
     let nodes = cluster.config.nodes as usize;
     let usable = cluster.cost.spark_usable_memory(cluster.config.node.memory_bytes);
@@ -42,16 +39,6 @@ pub fn check_fits(cluster: &Cluster, stage: &str, live_rdds: &[&[u64]]) -> Resul
     let all: Vec<u64> = live_rdds.iter().flat_map(|r| r.iter().copied()).collect();
     let per_exec = per_executor_bytes(&all, nodes);
     let needed = per_exec.iter().copied().max().unwrap_or(0);
-    if std::env::var_os("SJC_MEM_DEBUG").is_some() {
-        let total: u64 = all.iter().sum();
-        eprintln!(
-            "[mem] {} stage={stage:?} total={:.2}GB peak={:.2}GB usable={:.2}GB",
-            cluster.config.name,
-            total as f64 / 1e9,
-            needed as f64 / 1e9,
-            usable as f64 / 1e9
-        );
-    }
     if needed > usable {
         return Err(SimError::OutOfMemory {
             stage: stage.to_string(),

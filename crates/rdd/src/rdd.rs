@@ -128,18 +128,6 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         })
     }
 
-    /// Narrow per-partition map (Spark's `mapPartitions`): `f` sees a whole
-    /// partition at once — the idiom for amortizing per-partition setup
-    /// (index builds, connection pools). `extra` charges generation-scale
-    /// ns of setup/compute for the partition.
-    pub fn map_partitions<U: SparkRecord>(
-        self,
-        ctx: &SparkContext<'_>,
-        f: impl Fn(&[T], &mut SimNs) -> Vec<U> + Sync,
-    ) -> Rdd<U> {
-        self.transform_parts(ctx, |_, src, extra| f(src, extra))
-    }
-
     /// Deterministic Bernoulli sample (Spark's `RDD.sample`): record `i` of
     /// the dataset survives when a seeded hash of its index falls below
     /// `fraction`.
@@ -360,41 +348,6 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         })?;
         Ok(self.into_records())
     }
-
-    /// Repartitions into `n` round-robin partitions (used by tests and the
-    /// broadcast-join variant to control parallelism). Every lane ends up
-    /// with the same partitions.
-    pub fn repartition(self, ctx: &SparkContext<'_>, n: usize) -> Rdd<T> {
-        let n = n.max(1);
-        let cost = ctx.cost();
-        let mult = self.multiplier;
-        let carried: Vec<Vec<SimNs>> =
-            self.pending.iter().map(|p| vec![p.iter().sum::<SimNs>() / n as u64; n]).collect();
-        let lanes = self.lane_layout.len();
-        let (hdfs, depth) = (self.pending_hdfs_read, self.lineage_depth);
-        let mut parts: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        // Round-robin scatter: a cheap move-only pass whose output order
-        // defines the partitioning.
-        for (i, rec) in self.into_records().into_iter().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — i % n < n = parts.len()
-            parts[i % n].push(rec);
-        }
-        let mem_full = parts
-            .iter()
-            .map(|p| {
-                let m: u64 = p.iter().map(|r| r.mem_bytes(cost)).sum();
-                (m as f64 * mult) as u64
-            })
-            .collect();
-        Rdd {
-            layouts: vec![Layout { parts, mem_full }],
-            lane_layout: vec![0; lanes],
-            pending: carried,
-            pending_hdfs_read: hdfs,
-            multiplier: mult,
-            lineage_depth: depth,
-        }
-    }
 }
 
 /// One step of the sampling LCG (Knuth's MMIX multiplier/increment).
@@ -524,24 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn map_partitions_sees_whole_partitions() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let rdd = ctx.read_text((0u64..100).collect(), 4000, 1.0);
-        let n_parts = rdd.num_partitions();
-        // Emit one record per partition: its size.
-        let sizes = rdd
-            .map_partitions(&ctx, |part, extra| {
-                *extra += 1000;
-                vec![part.len() as u64]
-            })
-            .collect(&mut ctx, "sizes", Phase::IndexA)
-            .unwrap();
-        assert_eq!(sizes.len(), n_parts);
-        assert_eq!(sizes.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
     fn count_action_counts_without_collecting() {
         let cluster = ctx_cluster();
         let mut ctx = SparkContext::new(&cluster);
@@ -567,16 +502,5 @@ mod tests {
         all.sort_unstable();
         let expected: Vec<u64> = (0..10).chain(100..110).collect();
         assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn repartition_preserves_records() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let rdd = ctx.read_text((0u64..100).collect(), 4000, 1.0).repartition(&ctx, 7);
-        assert_eq!(rdd.num_partitions(), 7);
-        let mut out = rdd.collect(&mut ctx, "r", Phase::IndexA).unwrap();
-        out.sort_unstable();
-        assert_eq!(out, (0u64..100).collect::<Vec<_>>());
     }
 }

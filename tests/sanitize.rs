@@ -30,6 +30,13 @@ fn nan_coordinate_trips_mbr_sanitizer() {
 
 #[cfg(debug_assertions)]
 #[test]
+#[should_panic(expected = "sanitize: non-empty MBR with infinite bounds")]
+fn infinite_coordinate_trips_mbr_sanitizer() {
+    let _ = Point::new(f64::INFINITY, 0.0).mbr();
+}
+
+#[cfg(debug_assertions)]
+#[test]
 #[should_panic(expected = "inverted/empty MBR")]
 fn inverted_entry_trips_rtree_insert_sanitizer() {
     let mut tree = RTree::new_dynamic();
